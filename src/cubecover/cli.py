@@ -18,8 +18,7 @@ import mpmath
 # Exact pipeline certificates are rationals whose digit counts can exceed the
 # interpreter's default int<->str conversion guard (e.g. auto-tuned parameters
 # in dimension 14 give J = 71, so lam^(J-1) powers run to thousands of digits).
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
+sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
 
 from . import constants
 from .errors import (
@@ -47,8 +46,22 @@ from .selection import (
 
 
 def _parse_scalar(text: str) -> Fraction:
+    text = str(text)
+    # Fraction() expands a decimal exponent in full, at a cost that grows
+    # faster than the exponent ("1e10000000" takes seconds), so a scalar whose
+    # digit count plus exponent passes the int/str conversion limit is refused
+    # before converting.  The mantissa's length bounds its digit count, and an
+    # exponent is read only to one digit past the limit's own length.
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = text.lower().partition("e")
+    size = len(mantissa)
+    if exponent:
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")[: len(str(limit)) + 1]
+        size += int(exponent) if exponent.isdecimal() else 0
+    if limit and size > limit:
+        raise InputError(f"bad scalar {text!r}: more than {limit} digits")
     try:
-        return as_scalar(str(text))
+        return as_scalar(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"bad scalar {text!r}: {exc}") from None
 

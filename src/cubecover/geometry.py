@@ -132,9 +132,11 @@ def union_volume(c: Collection, method: str = "compression", cap: int = IE_DEFAU
     """Exact Lebesgue measure of the union of the cubes.
 
     Two independent methods are provided and agree exactly wherever both
-    apply: "compression" (coordinate-compressed grid sweep, practical for
-    moderate dimension) and "inclusion_exclusion" (subset expansion with
-    empty-intersection pruning, capped at `cap` cubes).
+    apply: "compression" and "inclusion_exclusion" (subset expansion with
+    empty-intersection pruning, capped at `cap` cubes).  "compression" maps
+    every face to an integer grid, then in the plane runs Bentley's
+    segment-tree sweep (O(n log n)) and in any other dimension a memoized
+    recursive sweep over the axes, practical for moderate dimension.
     """
     if not c.cubes:
         raise EmptyCollectionError("union volume of an empty collection is undefined")
@@ -147,30 +149,42 @@ def union_volume(c: Collection, method: str = "compression", cap: int = IE_DEFAU
 
 @lru_cache(maxsize=4096)
 def _union_volume_compression(c: Collection) -> Fraction:
-    cubes = c.cubes
-    n = len(cubes)
-    d = c.dim
+    lo_idx, hi_idx, axis_xs, axis_scale = _compress(c)
+    sweep = _planar_sweep if c.dim == 2 else _recursive_sweep
+    return Fraction(sweep(lo_idx, hi_idx, axis_xs), math.prod(axis_scale))
 
-    # Per axis, rescale the <= 2n boundary coordinates to integers so the
-    # sweep works in exact integer arithmetic throughout.
+
+def _compress(c: Collection):
+    """Integer grid of the cube boundaries, axis by axis.
+
+    Per axis, the <= 2n boundary coordinates are rescaled by the lcm of their
+    denominators to integers `axis_xs[axis]` (sorted, distinct), so sweeps
+    work in exact integer arithmetic throughout; `lo_idx[axis][i]` and
+    `hi_idx[axis][i]` are the grid positions of cube i's faces and
+    `axis_scale[axis]` is the rescaling factor.
+    """
+    lo_idx: list[list[int]] = []
+    hi_idx: list[list[int]] = []
     axis_xs: list[list[int]] = []
     axis_scale: list[int] = []
-    lo_idx = [[0] * d for _ in range(n)]
-    hi_idx = [[0] * d for _ in range(n)]
-    for axis in range(d):
-        los = [q.center[axis] - q.radius for q in cubes]
-        his = [q.center[axis] + q.radius for q in cubes]
+    for axis in range(c.dim):
+        los = [q.center[axis] - q.radius for q in c.cubes]
+        his = [q.center[axis] + q.radius for q in c.cubes]
         denom = math.lcm(*(v.denominator for v in los), *(v.denominator for v in his))
         ilos = [v.numerator * (denom // v.denominator) for v in los]
         ihis = [v.numerator * (denom // v.denominator) for v in his]
         xs = sorted(set(ilos) | set(ihis))
         pos = {x: k for k, x in enumerate(xs)}
-        for i in range(n):
-            lo_idx[i][axis] = pos[ilos[i]]
-            hi_idx[i][axis] = pos[ihis[i]]
+        lo_idx.append([pos[x] for x in ilos])
+        hi_idx.append([pos[x] for x in ihis])
         axis_xs.append(xs)
         axis_scale.append(denom)
+    return lo_idx, hi_idx, axis_xs, axis_scale
 
+
+def _recursive_sweep(lo_idx, hi_idx, axis_xs) -> int:
+    """Scaled integer volume by a memoized recursive sweep, in any dimension."""
+    d = len(axis_xs)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def sweep(axis: int, active: tuple[int, ...]) -> int:
@@ -186,8 +200,8 @@ def _union_volume_compression(c: Collection) -> Fraction:
         starts: dict[int, list[int]] = {}
         ends: dict[int, list[int]] = {}
         for i in active:
-            starts.setdefault(lo_idx[i][axis], []).append(i)
-            ends.setdefault(hi_idx[i][axis], []).append(i)
+            starts.setdefault(lo_idx[axis][i], []).append(i)
+            ends.setdefault(hi_idx[axis][i], []).append(i)
         xs = axis_xs[axis]
         total = 0
         cur: set[int] = set()
@@ -203,11 +217,54 @@ def _union_volume_compression(c: Collection) -> Fraction:
         memo[key] = total
         return total
 
-    raw = sweep(0, tuple(range(n)))
-    denom = 1
-    for s in axis_scale:
-        denom *= s
-    return Fraction(raw, denom)
+    return sweep(0, tuple(range(len(lo_idx[0]))))
+
+
+def _planar_sweep(lo_idx, hi_idx, axis_xs) -> int:
+    """Scaled integer area in the plane by Bentley's segment-tree sweep.
+
+    Events run along axis 0.  A segment tree over the axis-1 grid cells
+    holds, per node, how many cubes cover the node's whole span without
+    covering its parent's, and the length of the node's span that is
+    covered; the root's covered length is the cross-section of the union
+    between consecutive events.  O(n log n) against the recursion's
+    O(n^2 log n).
+    """
+    xs, ys = axis_xs
+    cells = len(ys) - 1
+    count = [0] * (4 * cells)
+    covered = [0] * (4 * cells)
+
+    def update(node: int, lo: int, hi: int, a: int, b: int, delta: int) -> None:
+        # Add delta to the cover count of cells [a, b) within node's [lo, hi).
+        if a <= lo and hi <= b:
+            count[node] += delta
+        else:
+            mid = (lo + hi) // 2
+            if a < mid:
+                update(2 * node, lo, mid, a, b, delta)
+            if mid < b:
+                update(2 * node + 1, mid, hi, a, b, delta)
+        if count[node]:
+            covered[node] = ys[hi] - ys[lo]
+        elif hi - lo == 1:
+            covered[node] = 0
+        else:
+            covered[node] = covered[2 * node] + covered[2 * node + 1]
+
+    (x_lo, y_lo), (x_hi, y_hi) = lo_idx, hi_idx
+    events = sorted(
+        [(x, 1, a, b) for x, a, b in zip(x_lo, y_lo, y_hi)]
+        + [(x, -1, a, b) for x, a, b in zip(x_hi, y_lo, y_hi)]
+    )
+    total = 0
+    prev = events[0][0]
+    for x, delta, a, b in events:
+        if x != prev:
+            total += (xs[x] - xs[prev]) * covered[1]
+            prev = x
+        update(1, 0, cells, a, b, delta)
+    return total
 
 
 def _box_meet(box, other):

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceededError, EmptyCollectionError, VerificationError
+from .errors import CapExceededError, EmptyCollectionError, NotDisjointError, VerificationError
 from .geometry import (
     Collection,
     Selection,
+    _check_disjoint,
     _check_indices,
     intersects,
     make_selection,
@@ -183,18 +184,10 @@ def verify_guarantee(
         return VerifyReport(tuple(checks), None)
     checks.append(CheckResult("indices valid", True, f"{len(idx)} of {len(c.cubes)} cubes"))
 
-    disjoint = True
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if intersects(c.cubes[idx[a]], c.cubes[idx[b]]):
-                disjoint = False
-                checks.append(
-                    CheckResult("pairwise disjoint", False, f"cubes {idx[a]} and {idx[b]} intersect")
-                )
-                break
-        if not disjoint:
-            break
-    if not disjoint:
+    try:
+        _check_disjoint(c, idx)
+    except NotDisjointError as exc:
+        checks.append(CheckResult("pairwise disjoint", False, str(exc)))
         return VerifyReport(tuple(checks), None)
     checks.append(CheckResult("pairwise disjoint", True, "no intersecting pair"))
 

@@ -120,16 +120,12 @@ def _require_nonempty(c: Collection) -> None:
         raise EmptyCollectionError("selection requires a nonempty collection")
 
 
-def greedy_vitali(c: Collection) -> Selection:
-    """Repeatedly select the largest remaining cube and drop everything it meets.
+def _maximal_greedy(c: Collection, order) -> list[int]:
+    """Take each cube in `order` that meets no cube taken before it.
 
-    Ties in size are broken by lowest index.  Certifies 3^-d of the union
-    volume; additionally, every input cube is contained in the 3-fold
-    concentric inflation of some selected cube.
+    The result is a maximal disjoint family, returned as sorted indices.
     """
-    _require_nonempty(c)
     n = len(c.cubes)
-    order = sorted(range(n), key=lambda i: c.cubes[i].radius, reverse=True)
     alive = [True] * n
     chosen = []
     for i in order:
@@ -140,7 +136,19 @@ def greedy_vitali(c: Collection) -> Selection:
         for j in range(n):
             if alive[j] and intersects(c.cubes[i], c.cubes[j]):
                 alive[j] = False
-    return make_selection(c, sorted(chosen), Fraction(1, 3 ** c.dim))
+    return sorted(chosen)
+
+
+def greedy_vitali(c: Collection) -> Selection:
+    """Repeatedly select the largest remaining cube and drop everything it meets.
+
+    Ties in size are broken by lowest index.  Certifies 3^-d of the union
+    volume; additionally, every input cube is contained in the 3-fold
+    concentric inflation of some selected cube.
+    """
+    _require_nonempty(c)
+    order = sorted(range(len(c.cubes)), key=lambda i: c.cubes[i].radius, reverse=True)
+    return make_selection(c, _maximal_greedy(c, order), Fraction(1, 3 ** c.dim))
 
 
 def congruent_select(c: Collection, mode: str = "sweep", cap: int = ORACLE_DEFAULT_CAP) -> Selection:
@@ -160,19 +168,8 @@ def congruent_select(c: Collection, mode: str = "sweep", cap: int = ORACLE_DEFAU
         return make_selection(c, witness.indices, unit_gamma(c.dim, mode))
     if mode != "sweep":
         raise InputError(f"unknown unit selector {mode!r}")
-    n = len(c.cubes)
-    order = sorted(range(n), key=lambda i: (c.cubes[i].center, i))
-    alive = [True] * n
-    chosen = []
-    for i in order:
-        if not alive[i]:
-            continue
-        chosen.append(i)
-        alive[i] = False
-        for j in range(n):
-            if alive[j] and intersects(c.cubes[i], c.cubes[j]):
-                alive[j] = False
-    return make_selection(c, sorted(chosen), unit_gamma(c.dim, mode))
+    order = sorted(range(len(c.cubes)), key=lambda i: (c.cubes[i].center, i))
+    return make_selection(c, _maximal_greedy(c, order), unit_gamma(c.dim, mode))
 
 
 def window_select(c: Collection, w: Window, mode: str = "sweep", cap: int = ORACLE_DEFAULT_CAP) -> Selection:

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from cubecover.cli import collection_from_json, collection_to_json, main
+from cubecover.cli import collection_from_json, collection_to_json, main, selection_from_json
 from support import load_golden_table
 
 
@@ -106,6 +107,20 @@ def test_malformed_file_exits_1(tmp_path, capsys):
     missing_field = tmp_path / "m.json"
     missing_field.write_text(json.dumps({"dim": 2}))
     assert run(capsys, "volume", "--in", str(missing_field))[0] == 1
+
+
+def test_hostile_scalar_exits_1(tmp_path, capsys):
+    # Converting this 10-byte radius would build a ten-million-digit integer.
+    inst = tmp_path / "hostile.json"
+    inst.write_text(json.dumps({"dim": 1, "cubes": [{"center": ["0"], "radius": "1e10000000"}]}))
+    assert run(capsys, "oracle", "--in", str(inst))[0] == 1
+
+
+def test_long_certificates_still_parse():
+    # A d=14 pipeline certificate runs to about 10^4 digits on each side.
+    cert = Fraction(2, 3) ** 20000
+    doc = {"indices": [0], "achieved_ratio": "1/2", "certified_bound": str(cert)}
+    assert selection_from_json(doc).certified_bound == cert
 
 
 def test_bad_flags_exit_1(capsys):

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubecover.errors import CapExceededError, EmptyCollectionError, NotDisjointError, VerificationError
 from cubecover.generators import gen_cell, gen_random
@@ -10,6 +13,9 @@ from cubecover.geometry import (
     Collection,
     Cube,
     Selection,
+    _compress,
+    _planar_sweep,
+    _recursive_sweep,
     as_scalar,
     contains,
     intersects,
@@ -151,6 +157,72 @@ def test_union_volume_monotone_and_subadditive():
         part1 = Collection(d, tuple(cubes[:k]))
         part2 = Collection(d, tuple(cubes[k:]))
         assert union_volume(base) <= union_volume(part1) + union_volume(part2)
+
+
+def recursive_union_volume(c):
+    """Union volume by the memoized recursion, the reference for the 2-d sweep."""
+    lo_idx, hi_idx, axis_xs, axis_scale = _compress(c)
+    return Fraction(_recursive_sweep(lo_idx, hi_idx, axis_xs), math.prod(axis_scale))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 400])
+def test_planar_sweep_matches_recursion(n):
+    rng = random.Random(1000 + n)
+    grid = random_collection(rng, 2, n)
+    loguniform = gen_random(2, n, ("loguniform", Fraction(1, 16), Fraction(4)), seed=n)
+    for c in (grid, loguniform):
+        lo_idx, hi_idx, axis_xs, _ = _compress(c)
+        assert _planar_sweep(lo_idx, hi_idx, axis_xs) == _recursive_sweep(lo_idx, hi_idx, axis_xs)
+        assert union_volume(c) == recursive_union_volume(c)
+
+
+@pytest.mark.parametrize(
+    "squares,area",
+    [
+        ([((0, 0), 1)], 1),  # a single square
+        ([((0, 0), 1), ((1, 1), 1)], 2),  # touching at a corner
+        ([((0, 0), 2), ((2, 1), 1)], 5),  # touching along part of an edge
+        ([((0, 0), 1), ((1, 0), 1)], 2),  # sharing a whole edge
+        ([((0, 0), 3), ((1, 1), 1), ((Fraction(1, 2), 1), 2)], 9),  # nested
+        ([((0, 0), 1), ((0, 0), 1), ((0, 0), 1)], 1),  # duplicates
+        ([((0, 0), 2), ((1, 1), 2), ((0, 0), 2), ((4, 0), 1)], 8),  # overlap, duplicate, apart
+    ],
+)
+def test_planar_sweep_degenerate_cases(squares, area):
+    c = Collection(2, tuple(box(corner, side) for corner, side in squares))
+    assert union_volume(c) == area
+    assert recursive_union_volume(c) == area
+    assert union_volume(c, "inclusion_exclusion") == area
+
+
+def test_planar_sweep_matches_inclusion_exclusion():
+    rng = random.Random(41)
+    for n in range(1, 21):
+        c = random_collection(rng, 2, n)
+        assert union_volume(c) == union_volume(c, "inclusion_exclusion")
+
+
+grid_squares = st.lists(
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 24)),
+    min_size=1,
+    max_size=30,
+)
+
+
+def grid_squares_collection(squares, shift=(0, 0)):
+    return Collection(
+        2,
+        tuple(Cube((Fraction(x, 8) + shift[0], Fraction(y, 8) + shift[1]), Fraction(r, 8)) for x, y, r in squares),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_squares, st.integers(-100, 100), st.integers(-100, 100), st.integers(1, 12))
+def test_planar_union_volume_invariant_under_translation_and_axis_swap(squares, tx, ty, denom):
+    area = union_volume(grid_squares_collection(squares))
+    shift = (Fraction(tx, denom), Fraction(ty, denom))
+    assert union_volume(grid_squares_collection(squares, shift)) == area
+    assert union_volume(grid_squares_collection([(y, x, r) for x, y, r in squares])) == area
 
 
 def test_union_volume_empty_rejected():
