@@ -14,7 +14,6 @@ from .errors import (
 from .geometry import (
     Collection,
     Cube,
-    Scalar,
     Selection,
     as_scalar,
     contains,
@@ -52,7 +51,6 @@ __all__ = [
     "LacunaryStructure",
     "NotDisjointError",
     "PipelineParams",
-    "Scalar",
     "Selection",
     "VerificationError",
     "VerifyReport",

@@ -45,6 +45,14 @@ from .selection import (
 )
 
 
+def _excerpt(text: str) -> str:
+    # Quote user text in an error message, cut to a prefix plus its length:
+    # a rejected scalar can run to millions of characters.
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _parse_scalar(text: str) -> Fraction:
     text = str(text)
     # Fraction() expands a decimal exponent in full, at a cost that grows
@@ -59,22 +67,19 @@ def _parse_scalar(text: str) -> Fraction:
         exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")[: len(str(limit)) + 1]
         size += int(exponent) if exponent.isdecimal() else 0
     if limit and size > limit:
-        raise InputError(f"bad scalar {text!r}: more than {limit} digits")
+        raise InputError(f"bad scalar {_excerpt(text)}: more than {limit} digits")
     try:
         return as_scalar(text)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"bad scalar {text!r}: {exc}") from None
-
-
-def format_scalar(x: Fraction) -> str:
-    return str(x)
+    except (ValueError, ZeroDivisionError):
+        # Both errors' own messages repeat the whole input.
+        raise InputError(f"bad scalar {_excerpt(text)}: not a finite rational") from None
 
 
 def collection_to_json(c: Collection, meta: dict | None = None) -> dict:
     doc = {
         "dim": c.dim,
         "cubes": [
-            {"center": [format_scalar(x) for x in q.center], "radius": format_scalar(q.radius)}
+            {"center": [str(x) for x in q.center], "radius": str(q.radius)}
             for q in c.cubes
         ],
     }
@@ -89,12 +94,7 @@ def collection_from_json(doc: dict) -> Collection:
         cubes = []
         for entry in doc["cubes"]:
             center = tuple(_parse_scalar(x) for x in entry["center"])
-            radius = _parse_scalar(entry["radius"])
-            if radius <= 0:
-                raise InputError(f"radius {radius} is not positive")
-            if len(center) != dim:
-                raise InputError(f"center has {len(center)} coordinates in a {dim}-d instance")
-            cubes.append(Cube(center, radius))
+            cubes.append(Cube(center, _parse_scalar(entry["radius"])))
         return Collection(dim, tuple(cubes))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance: {exc}") from None
@@ -104,8 +104,8 @@ def selection_to_json(algo: str, sel: Selection, params: dict | None = None) -> 
     doc = {
         "algo": algo,
         "indices": list(sel.indices),
-        "achieved_ratio": format_scalar(sel.achieved_ratio),
-        "certified_bound": format_scalar(sel.certified_bound),
+        "achieved_ratio": str(sel.achieved_ratio),
+        "certified_bound": str(sel.certified_bound),
     }
     if params:
         doc["params"] = params
@@ -229,14 +229,16 @@ def cmd_select(args) -> int:
             "mu": str(structure.mu),
         })
     elif args.algo == "pipeline":
-        if args.J is not None and args.lam is not None:
-            p = PipelineParams(args.J, _parse_scalar(args.lam), mode, unit_gamma(c.dim, mode))
+        if (args.J is None) != (args.lam is None):
+            raise InputError("pipeline selection needs both --J and --lambda, or neither")
+        if args.J is not None:
+            p = PipelineParams(args.J, _parse_scalar(args.lam), mode)
         elif c.dim >= 2:
             p = auto_params(c.dim, mode)
         else:
-            p = PipelineParams(3, Fraction(2), mode, unit_gamma(c.dim, mode))
+            p = PipelineParams(3, Fraction(2), mode)
         sel = pipeline_select(c, p, args.cap)
-        params.update({"J": p.J, "lambda": str(p.lam), "gamma_guarantee": str(p.gamma_guarantee)})
+        params.update({"J": p.J, "lambda": str(p.lam), "gamma_guarantee": str(unit_gamma(c.dim, mode))})
     else:
         raise InputError(f"unknown algorithm {args.algo!r}")
     _write_json(selection_to_json(args.algo, sel, params), args.out)

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .geometry import Collection, Cube, as_scalar
 from .selection import LacunaryStructure
 
 GRID_BITS = 20
 GRID = 1 << GRID_BITS
 CENTER_SPAN = 10  # random centers fall in [0, 10]^d
+DYADIC_CAP = 1 << 16  # most cubes gen_dyadic builds
 
 
 def gen_cell(d: int) -> Collection:
@@ -44,6 +45,13 @@ def gen_dyadic(d: int, levels: int) -> Collection:
         raise InputError("dimension must be >= 1")
     if levels < 1:
         raise InputError("levels must be >= 1")
+    # Count before building.  Each level's exponent is clipped at the cap's bit
+    # length, which already passes the cap, so no huge power is ever formed.
+    count = 0
+    for depth in range(levels + 1):
+        count += 1 << min(d * depth, DYADIC_CAP.bit_length())
+        if count > DYADIC_CAP:
+            raise CapExceededError(f"dyadic cap is {DYADIC_CAP} cubes, d={d} with {levels} levels has more")
     cubes = []
     for depth in range(levels + 1):
         side = Fraction(1 << (levels - depth))

@@ -20,8 +20,6 @@ from .errors import (
     VerificationError,
 )
 
-Scalar = Fraction
-
 IE_DEFAULT_CAP = 20
 
 
@@ -76,13 +74,6 @@ class Collection:
         for q in self.cubes:
             if q.dim != self.dim:
                 raise ValueError(f"cube of dimension {q.dim} in a {self.dim}-d collection")
-
-    @classmethod
-    def from_cubes(cls, cubes) -> "Collection":
-        cubes = tuple(cubes)
-        if not cubes:
-            raise EmptyCollectionError("cannot infer dimension from an empty cube list")
-        return cls(cubes[0].dim, cubes)
 
     def __len__(self) -> int:
         return len(self.cubes)

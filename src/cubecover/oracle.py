@@ -72,24 +72,14 @@ def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, S
     closed = [adj[i] | (1 << i) for i in range(n)]
     full = (1 << n) - 1
 
-    def greedy_seed() -> tuple[Fraction, int]:
-        mask = full
-        chosen = 0
-        total = Fraction(0)
-        while mask:
-            best = -1
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                if best < 0 or w[i] > w[best]:
-                    best = i
-            chosen |= 1 << best
-            total += w[best]
-            mask &= ~closed[best]
-        return total, chosen
-
-    best_w, best_set = greedy_seed()
+    # Seed: one greedy pass, heaviest first; the stable sort breaks ties by index.
+    best_w, best_set = Fraction(0), 0
+    free = full
+    for i in sorted(range(n), key=w.__getitem__, reverse=True):
+        if free >> i & 1:
+            best_w += w[i]
+            best_set |= 1 << i
+            free &= ~closed[i]
 
     def search(mask: int, cur_w: Fraction, cur_set: int) -> None:
         nonlocal best_w, best_set

@@ -84,26 +84,22 @@ class LacunaryStructure:
 class PipelineParams:
     """Parameters of the residue-class pipeline.
 
-    gamma_guarantee is the congruent subroutine's honest certificate and must
-    match the unit selector: 3^-d for "sweep", 2^-d for "exact".
+    The congruent subroutine's certificate gamma is not a parameter: it is
+    fixed by the unit selector and the dimension (see :func:`unit_gamma`).
     """
 
     J: int
     lam: Fraction
     unit_selector: str
-    gamma_guarantee: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "lam", as_scalar(self.lam))
-        object.__setattr__(self, "gamma_guarantee", as_scalar(self.gamma_guarantee))
         if not isinstance(self.J, int) or self.J < 3:
             raise InputError("pipeline needs an integer class count J >= 3")
         if self.lam <= 1:
             raise InputError("pipeline scale ratio must exceed 1")
         if self.unit_selector not in ("sweep", "exact"):
             raise InputError(f"unknown unit selector {self.unit_selector!r}")
-        if not 0 < self.gamma_guarantee <= 1:
-            raise InputError("gamma guarantee must lie in (0, 1]")
 
 
 def unit_gamma(d: int, mode: str) -> Fraction:
@@ -160,16 +156,15 @@ def congruent_select(c: Collection, mode: str = "sweep", cap: int = ORACLE_DEFAU
     certify 2^-d, the optimal constant for congruent cubes.
     """
     _require_nonempty(c)
+    gamma = unit_gamma(c.dim, mode)
     r0 = c.cubes[0].radius
     if any(q.radius != r0 for q in c.cubes):
         raise InputError("congruent selection requires all radii equal")
     if mode == "exact":
         _, witness = phi_exact(c, cap)
-        return make_selection(c, witness.indices, unit_gamma(c.dim, mode))
-    if mode != "sweep":
-        raise InputError(f"unknown unit selector {mode!r}")
+        return make_selection(c, witness.indices, gamma)
     order = sorted(range(len(c.cubes)), key=lambda i: (c.cubes[i].center, i))
-    return make_selection(c, _maximal_greedy(c, order), unit_gamma(c.dim, mode))
+    return make_selection(c, _maximal_greedy(c, order), gamma)
 
 
 def window_select(c: Collection, w: Window, mode: str = "sweep", cap: int = ORACLE_DEFAULT_CAP) -> Selection:
@@ -266,15 +261,11 @@ def pipeline_select(c: Collection, params: PipelineParams, cap: int = ORACLE_DEF
     union volume holds at least 1/J of the total, which is asserted.  Its
     occupied bands form a (lam^(J-1), lam)-lacunary structure, on which the
     lacunary selector runs.  Certifies
-    J^-1 (lam (1 + 2 lam^(1-J)))^-d gamma.
+    J^-1 (lam (1 + 2 lam^(1-J)))^-d gamma, with gamma the unit selector's
+    certificate.
     """
     _require_nonempty(c)
     d = c.dim
-    if params.gamma_guarantee != unit_gamma(d, params.unit_selector):
-        raise InputError(
-            f"gamma guarantee {params.gamma_guarantee} does not match the "
-            f"{params.unit_selector!r} selector certificate in dimension {d}"
-        )
     J, lam = params.J, params.lam
 
     exps = [_floor_log(lam, q.radius) for q in c.cubes]
@@ -300,7 +291,7 @@ def pipeline_select(c: Collection, params: PipelineParams, cap: int = ORACLE_DEF
     sub = Collection(d, tuple(c.cubes[k] for k in members))
     inner = lacunary_select(sub, structure, params.unit_selector, cap)
     indices = sorted(members[k] for k in inner.indices)
-    cert = certified_bound(d, J, lam, params.gamma_guarantee)
+    cert = certified_bound(d, J, lam, unit_gamma(d, params.unit_selector))
     return make_selection(c, indices, cert, total_volume=total)
 
 
@@ -334,4 +325,4 @@ def auto_params(d: int, unit_selector: str = "sweep") -> PipelineParams:
     lam = Fraction(round(float(lam_star) * 10 ** 6), 10 ** 6)
     if lam <= 1:
         lam = Fraction(10 ** 6 + 1, 10 ** 6)
-    return PipelineParams(J=J, lam=lam, unit_selector=unit_selector, gamma_guarantee=unit_gamma(d, unit_selector))
+    return PipelineParams(J=J, lam=lam, unit_selector=unit_selector)

@@ -23,7 +23,6 @@ from cubecover.selection import (
     greedy_vitali,
     lacunary_select,
     pipeline_select,
-    unit_gamma,
     window_select,
 )
 from support import golden_section_min, load_golden_table
@@ -85,7 +84,7 @@ def test_criterion_3_tight_configuration():
             "congruent-sweep": congruent_select(c, "sweep").achieved_ratio,
             "congruent-exact": congruent_select(c, "exact").achieved_ratio,
             "pipeline": pipeline_select(
-                c, PipelineParams(3, Fraction(2), "sweep", unit_gamma(d, "sweep"))
+                c, PipelineParams(3, Fraction(2), "sweep")
             ).achieved_ratio,
         }
         for name, got in achieved.items():
@@ -145,7 +144,7 @@ def certificate_suite():
             params = auto_params(c.dim, mode)
         else:
             J, lam = pipelines[pos % 3]
-            params = PipelineParams(J, lam, mode, unit_gamma(c.dim, mode))
+            params = PipelineParams(J, lam, mode)
         selections.append(("pipeline", pipeline_select(c, params)))
         for algo, sel in selections:
             runs.append((name, algo, c, sel, verify_guarantee(c, sel, phi=phi)))

@@ -79,6 +79,21 @@ def test_select_pipeline_explicit_params(tmp_path, capsys):
     assert json.loads(sel.read_text())["params"]["lambda"] == "3/2"
 
 
+def _pipeline_with(tmp_path, capsys, *flags):
+    inst = tmp_path / "r.json"
+    run(capsys, "gen", "--kind", "random", "--d", "2", "--n", "6", "--rmin", "1/2", "--rmax", "4",
+        "--seed", "2", "--out", str(inst))
+    return run(capsys, "select", "--algo", "pipeline", "--in", str(inst), *flags)
+
+
+def test_select_pipeline_lone_J_exits_1(tmp_path, capsys):
+    assert _pipeline_with(tmp_path, capsys, "--J", "5") == (1, "")
+
+
+def test_select_pipeline_lone_lambda_exits_1(tmp_path, capsys):
+    assert _pipeline_with(tmp_path, capsys, "--lambda", "3/2") == (1, "")
+
+
 def test_verify_corrupted_selection_exits_2(tmp_path, capsys):
     inst = tmp_path / "cell.json"
     sel = tmp_path / "bad.json"
@@ -114,6 +129,23 @@ def test_hostile_scalar_exits_1(tmp_path, capsys):
     inst = tmp_path / "hostile.json"
     inst.write_text(json.dumps({"dim": 1, "cubes": [{"center": ["0"], "radius": "1e10000000"}]}))
     assert run(capsys, "oracle", "--in", str(inst))[0] == 1
+
+
+def test_huge_scalar_error_is_short(tmp_path, capsys):
+    inst = tmp_path / "long.json"
+    inst.write_text(json.dumps({"dim": 1, "cubes": [{"center": ["0"], "radius": "7" * 2_000_000}]}))
+    assert main(["volume", "--in", str(inst)]) == 1
+    assert 0 < len(capsys.readouterr().err) < 1024
+
+
+@pytest.mark.parametrize("cube", [
+    {"center": ["0", "0"], "radius": "-1"},
+    {"center": ["0"], "radius": "1"},
+])
+def test_invalid_cube_exits_1(tmp_path, capsys, cube):
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps({"dim": 2, "cubes": [cube]}))
+    assert run(capsys, "volume", "--in", str(inst))[0] == 1
 
 
 def test_long_certificates_still_parse():
@@ -178,6 +210,11 @@ def test_gen_dyadic_cli_stdout(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["cubes"]) == 3
+
+
+def test_gen_dyadic_over_cap_exits_3(capsys):
+    # 2^120 cubes at the last level: refused by count, before any allocation.
+    assert run(capsys, "gen", "--kind", "dyadic", "--d", "40", "--levels", "3") == (3, "")
 
 
 def test_help_exits_0(capsys):

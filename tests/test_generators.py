@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from cubecover.cli import collection_from_json, collection_to_json
-from cubecover.errors import InputError
-from cubecover.generators import GRID, GenSpec, gen_cell, gen_dyadic, gen_lacunary, gen_random, generate
+from cubecover.errors import CapExceededError, InputError
+from cubecover.generators import DYADIC_CAP, GRID, GenSpec, gen_cell, gen_dyadic, gen_lacunary, gen_random, generate
 from cubecover.geometry import intersects, union_volume
 from cubecover.selection import LacunaryStructure, Window
 
@@ -51,6 +51,14 @@ def test_dyadic_d1_level1():
 def test_dyadic_count_formula(d, levels):
     c = gen_dyadic(d, levels)
     assert len(c) == sum(2 ** (d * k) for k in range(levels + 1))
+
+
+@pytest.mark.parametrize("d,levels", [(1, 16), (1, 10 ** 12), (10 ** 12, 1)])
+def test_dyadic_over_cap(d, levels):
+    # Every case has at least 2^17 > DYADIC_CAP cubes; none may be built.
+    assert DYADIC_CAP < 1 << 17
+    with pytest.raises(CapExceededError):
+        gen_dyadic(d, levels)
 
 
 def test_dyadic_children_inside_parent():

@@ -240,7 +240,7 @@ def test_lacunary_scaled_instance_matches():
 @pytest.mark.parametrize("mode", ["sweep", "exact"])
 def test_pipeline_degenerate_equals_congruent(mode):
     c = gen_cell(2)
-    params = PipelineParams(3, Fraction(2), mode, unit_gamma(2, mode))
+    params = PipelineParams(3, Fraction(2), mode)
     sel = pipeline_select(c, params)
     base = congruent_select(c, mode)
     assert sel.indices == base.indices
@@ -249,7 +249,7 @@ def test_pipeline_degenerate_equals_congruent(mode):
 
 def test_pipeline_congruent_random_instance():
     c = gen_random(2, 11, ("uniform", Fraction(3, 4), Fraction(3, 4)), seed=33)
-    params = PipelineParams(4, Fraction(3, 2), "sweep", Fraction(1, 9))
+    params = PipelineParams(4, Fraction(3, 2), "sweep")
     sel = pipeline_select(c, params)
     base = congruent_select(c, "sweep")
     assert sel.indices == base.indices
@@ -258,7 +258,7 @@ def test_pipeline_congruent_random_instance():
 
 def test_pipeline_mixed_radii_certificate():
     c = gen_random(2, 20, ("loguniform", Fraction(1, 4), Fraction(4)), seed=5)
-    params = PipelineParams(5, Fraction(3, 2), "sweep", Fraction(1, 9))
+    params = PipelineParams(5, Fraction(3, 2), "sweep")
     sel = pipeline_select(c, params)
     assert sel.certified_bound == certified_bound(2, 5, Fraction(3, 2), Fraction(1, 9))
     assert sel.achieved_ratio >= sel.certified_bound
@@ -266,7 +266,7 @@ def test_pipeline_mixed_radii_certificate():
 
 def test_pipeline_exact_mode_vs_oracle():
     c = gen_random(2, 20, ("loguniform", Fraction(1, 4), Fraction(4)), seed=5)
-    params = PipelineParams(5, Fraction(3, 2), "exact", Fraction(1, 4))
+    params = PipelineParams(5, Fraction(3, 2), "exact")
     sel = pipeline_select(c, params)
     phi, _ = phi_exact(c)
     assert sel.certified_bound <= sel.achieved_ratio <= phi
@@ -275,26 +275,20 @@ def test_pipeline_exact_mode_vs_oracle():
 def test_pipeline_dilation_by_full_period():
     c = gen_random(2, 12, ("loguniform", Fraction(1, 2), Fraction(4)), seed=37)
     lam = Fraction(3, 2)
-    params = PipelineParams(4, lam, "sweep", Fraction(1, 9))
+    params = PipelineParams(4, lam, "sweep")
     a = pipeline_select(c, params)
     b = pipeline_select(dilate(c, lam ** 4), params)
     assert a.indices == b.indices
     assert a.achieved_ratio == b.achieved_ratio
 
 
-def test_pipeline_rejects_mismatched_gamma():
-    c = gen_cell(2)
-    with pytest.raises(InputError):
-        pipeline_select(c, PipelineParams(3, Fraction(2), "sweep", Fraction(1, 4)))
-
-
 def test_pipeline_params_validation():
     with pytest.raises(InputError):
-        PipelineParams(2, Fraction(2), "sweep", Fraction(1, 9))
+        PipelineParams(2, Fraction(2), "sweep")
     with pytest.raises(InputError):
-        PipelineParams(3, Fraction(1), "sweep", Fraction(1, 9))
+        PipelineParams(3, Fraction(1), "sweep")
     with pytest.raises(InputError):
-        PipelineParams(3, Fraction(2), "fancy", Fraction(1, 9))
+        PipelineParams(3, Fraction(2), "fancy")
 
 
 # ---------------------------------------------------------------- parameters
@@ -313,8 +307,11 @@ def test_auto_params_d3_lambda_close_to_closed_form():
 
 
 def test_auto_params_gamma_tracks_mode():
-    assert auto_params(3, "sweep").gamma_guarantee == Fraction(1, 27)
-    assert auto_params(3, "exact").gamma_guarantee == Fraction(1, 8)
+    c = gen_random(3, 12, ("loguniform", Fraction(1, 4), Fraction(4)), seed=8)
+    for mode, gamma in (("sweep", Fraction(1, 27)), ("exact", Fraction(1, 8))):
+        p = auto_params(3, mode)
+        assert unit_gamma(3, mode) == gamma
+        assert pipeline_select(c, p).certified_bound == certified_bound(3, p.J, p.lam, gamma)
 
 
 def test_auto_params_rejects_d1():
