@@ -21,9 +21,6 @@ DEFAULT_DPS = 50
 RESIDUAL_BOUND = 5.0
 
 _dps = DEFAULT_DPS
-# _log_tables[x] = (log(x + 2), log g(x)) for integer x >= 1; index 0 unused.
-# Shared by every dimension's scan: log h_d(x) = _log_tables[x][0] + d * _log_tables[x][1].
-_log_tables: list[tuple[mpmath.mpf, mpmath.mpf] | None] = [None]
 _opt_cache: dict[int, tuple[int, mpmath.mpf, mpmath.mpf]] = {}
 
 
@@ -33,7 +30,6 @@ def set_precision(dps: int) -> None:
     if dps < 15:
         raise InputError("working precision below double precision is not supported")
     _dps = dps
-    del _log_tables[1:]
     _opt_cache.clear()
 
 
@@ -79,40 +75,46 @@ def scan_bound(d: int) -> int:
     return math.floor(4 * d * math.log(4 * d) + 1)
 
 
-def _ensure_tables(upto: int) -> None:
-    with mpmath.workdps(_dps):
-        while len(_log_tables) <= upto:
-            x = len(_log_tables)
-            t = mpmath.mpf(x)
-            a = mpmath.log(t + 2)
-            b = mpmath.log(2 * t) / (t + 1) + mpmath.log(1 + 1 / t)
-            _log_tables.append((a, b))
-
-
 def optimize_L(d: int) -> tuple[int, mpmath.mpf, mpmath.mpf]:
     """Exhaustive integer minimization of h_d over [1, scan_bound(d)].
 
     Returns (L_d, h_d(L_d), m_d) where L_d is the minimal argmin and
     m_d = 2^d h_d(L_d).  The logarithmic derivative of h_d is positive beyond
     the scan bound, so the scan cannot miss the minimum.
+
+    The scan minimizes v(x) = log h_d(x) = log(x+2) + d (log(2x)/(x+1) + log(1+1/x))
+    in two passes.  A float64 pass evaluates v at every integer in the range and
+    keeps each x within 1e-9 (v_min + 1) of the float minimum v_min; only those
+    are evaluated again at working precision, and the lowest x of least value
+    wins, exactly as in a full working-precision scan.  This cannot change the
+    result: for x >= 1 every term of v is positive, so the float value of v(x)
+    is within about 6 * 2^-53 * v(x) of the truth, and at 15 or more digits
+    (set_precision enforces this) the working-precision value is as close or
+    closer.  Let x* be the minimal argmin of the working-precision values and y
+    the float argmin.  Chaining the two relative errors through v(x*) <= v(y)
+    puts the float value of v(x*) within about 24 * 2^-53 * v_min of v_min,
+    over 10^5 times inside the margin, so x* always survives, and a full
+    working-precision scan could never have chosen an x the float pass drops.
     """
     if d < 1:
         raise InputError("dimension must be >= 1")
     hit = _opt_cache.get(d)
     if hit is not None:
         return hit
-    limit = scan_bound(d)
-    _ensure_tables(limit)
+    approx = [
+        math.log(x + 2) + d * (math.log(2 * x) / (x + 1) + math.log1p(1 / x))
+        for x in range(1, scan_bound(d) + 1)
+    ]
+    v_min = min(approx)
+    cutoff = v_min + 1e-9 * (v_min + 1)
     with mpmath.workdps(_dps):
-        a, b = _log_tables[1]
-        best_log = a + d * b
-        best_L = 1
-        for L in range(2, limit + 1):
-            a, b = _log_tables[L]
-            v = a + d * b
-            if v < best_log:
-                best_log, best_L = v, L
-        h_min = mpmath.e ** best_log
+        logs = {}
+        for L, v in enumerate(approx, start=1):
+            if v <= cutoff:
+                t = mpmath.mpf(L)
+                logs[L] = mpmath.log(t + 2) + d * (mpmath.log(2 * t) / (t + 1) + mpmath.log(1 + 1 / t))
+        best_L = min(logs, key=logs.__getitem__)  # first minimum: ties go to the lowest L
+        h_min = mpmath.e ** logs[best_L]
         m = mpmath.mpf(2) ** d * h_min
     out = (best_L, h_min, m)
     _opt_cache[d] = out
@@ -218,22 +220,23 @@ def improvement_frontier() -> int:
     g(L_14) <= 3/2, and the induction factor (2/3) g(L_14) < 1, then
     returns 14.  Any failed check aborts with a diagnostic.
     """
-    rows = bounds_table(14)
-    for row in rows[:13]:
-        if not row.m_over_3d >= 1:
-            raise VerificationError(f"expected no improvement at d={row.d}, got m/3^d={row.m_over_3d}")
-    last = rows[13]
-    if not last.m_over_3d < 1:
-        raise VerificationError(f"expected improvement at d=14, got m/3^d={last.m_over_3d}")
-    if last.L < 9:
-        raise VerificationError(f"induction needs L_14 >= 9, got {last.L}")
+    for d in range(1, 15):
+        L, _, m = optimize_L(d)
+        with mpmath.workdps(_dps):
+            m_over_3d = m / mpmath.mpf(3) ** d
+        if d < 14 and not m_over_3d >= 1:
+            raise VerificationError(f"expected no improvement at d={d}, got m/3^d={m_over_3d}")
+    if not m_over_3d < 1:
+        raise VerificationError(f"expected improvement at d=14, got m/3^d={m_over_3d}")
+    if L < 9:
+        raise VerificationError(f"induction needs L_14 >= 9, got {L}")
     with mpmath.workdps(_dps):
-        g14 = g_eval(last.L)
+        g14 = g_eval(L)
         if not g14 <= mpmath.mpf(3) / 2:
             raise VerificationError(f"induction needs g(L_14) <= 3/2, got {g14}")
         if not mpmath.mpf(2) / 3 * g14 < 1:
             raise VerificationError(f"induction factor (2/3) g(L_14) = {2 * g14 / 3} is not < 1")
-    return last.d
+    return 14
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,15 @@ from .selection import LacunaryStructure
 GRID_BITS = 20
 GRID = 1 << GRID_BITS
 CENTER_SPAN = 10  # random centers fall in [0, 10]^d
-DYADIC_CAP = 1 << 16  # most cubes gen_dyadic builds
+DYADIC_CAP = 1 << 16  # most cubes gen_dyadic and gen_cell build
 
 
 def gen_cell(d: int) -> Collection:
     """2^d pairwise-intersecting unit cubes with min-corners at {0,1}^d."""
     if d < 1:
         raise InputError("dimension must be >= 1")
+    if d >= DYADIC_CAP.bit_length():
+        raise CapExceededError(f"cell cap is {DYADIC_CAP} cubes, d={d} has 2^{d}")
     half = Fraction(1, 2)
     cubes = [
         Cube(tuple(k + half for k in corner), half)

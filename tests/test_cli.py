@@ -217,6 +217,11 @@ def test_gen_dyadic_over_cap_exits_3(capsys):
     assert run(capsys, "gen", "--kind", "dyadic", "--d", "40", "--levels", "3") == (3, "")
 
 
+def test_gen_cell_over_cap_exits_3(capsys):
+    # 2^40 cubes: refused before any is built.
+    assert run(capsys, "gen", "--kind", "cell", "--d", "40") == (3, "")
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

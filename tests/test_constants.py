@@ -58,6 +58,51 @@ def test_optimize_L_matches_golden_rows():
         assert abs(float(got_m) - m) <= 5e-4
 
 
+def _log_terms(dps, upto):
+    # (log(x + 2), log g(x)) for x = 1..upto, each rounded to dps digits.
+    with mpmath.workdps(dps):
+        return [
+            (mpmath.log(t + 2), mpmath.log(2 * t) / (t + 1) + mpmath.log(1 + 1 / t))
+            for t in map(mpmath.mpf, range(1, upto + 1))
+        ]
+
+
+def _full_scan(d, dps, terms):
+    # Independent reference: every x in [1, scan_bound(d)] at working precision,
+    # strict <, so ties go to the lowest x.
+    with mpmath.workdps(dps):
+        logs = [a + d * b for a, b in terms[: constants.scan_bound(d)]]
+        best = min(range(len(logs)), key=logs.__getitem__)
+        h_min = mpmath.e ** logs[best]
+        return best + 1, h_min, mpmath.mpf(2) ** d * h_min
+
+
+@pytest.mark.parametrize(
+    "dps,dims",
+    [(15, range(1, 61)), (50, range(1, 61)), (100, range(1, 61)), (50, (100, 317, 1000))],
+)
+def test_optimize_L_bit_identical_to_full_scan(dps, dims):
+    # _mpf_ is the exact (sign, mantissa, exponent, bit count) tuple; repr at
+    # the default 15 digits would hide a difference in the last bits.
+    try:
+        constants.set_precision(dps)
+        terms = _log_terms(dps, constants.scan_bound(max(dims)))
+        for d in dims:
+            L, h_min, m = constants.optimize_L(d)
+            want_L, want_h, want_m = _full_scan(d, dps, terms)
+            assert (L, h_min._mpf_, m._mpf_) == (want_L, want_h._mpf_, want_m._mpf_), d
+    finally:
+        constants.set_precision(constants.DEFAULT_DPS)
+
+
+def test_optimize_L_minimizer_at_one():
+    L, h_min, m = constants.optimize_L(1)
+    assert L == 1
+    with mpmath.workdps(50):
+        assert abs(h_min - 6 * mpmath.sqrt(2)) < mpmath.mpf("1e-45")
+        assert abs(m - 12 * mpmath.sqrt(2)) < mpmath.mpf("1e-45")
+
+
 def test_optimize_L_is_interior_local_min():
     for d in (1, 2, 5, 14, 20):
         L, h_min, _ = constants.optimize_L(d)
@@ -124,6 +169,14 @@ def test_bounds_table_d1_comparison_columns():
 
 
 def test_improvement_frontier_returns_14():
+    assert constants.improvement_frontier() == 14
+
+
+def test_improvement_frontier_skips_comparison_columns(monkeypatch):
+    def refuse(d):
+        raise AssertionError("bdj_lambda is not needed for the frontier")
+
+    monkeypatch.setattr(constants, "bdj_lambda", refuse)
     assert constants.improvement_frontier() == 14
 
 

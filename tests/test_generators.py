@@ -38,6 +38,17 @@ def test_cell_rejects_bad_dim():
         gen_cell(0)
 
 
+def test_cell_at_cap_builds_all():
+    assert DYADIC_CAP == 1 << 16
+    assert len(gen_cell(16)) == DYADIC_CAP
+
+
+@pytest.mark.parametrize("d", [17, 40, 10 ** 12])
+def test_cell_over_cap(d):
+    with pytest.raises(CapExceededError):
+        gen_cell(d)
+
+
 def test_dyadic_d1_level1():
     c = gen_dyadic(1, 1)
     assert [(q.center, q.radius) for q in c.cubes] == [
