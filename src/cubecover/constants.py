@@ -21,16 +21,17 @@ DEFAULT_DPS = 50
 RESIDUAL_BOUND = 5.0
 
 _dps = DEFAULT_DPS
-_opt_cache: dict[int, tuple[int, mpmath.mpf, mpmath.mpf]] = {}
 
 
 def set_precision(dps: int) -> None:
-    """Set the working precision in significant digits; clears caches."""
+    """Set the working precision in significant digits (at least 15).
+
+    The precision is all the state this module holds; there is no memo to clear.
+    """
     global _dps
     if dps < 15:
         raise InputError("working precision below double precision is not supported")
     _dps = dps
-    _opt_cache.clear()
 
 
 def _to_mpf(x) -> mpmath.mpf:
@@ -98,9 +99,6 @@ def optimize_L(d: int) -> tuple[int, mpmath.mpf, mpmath.mpf]:
     """
     if d < 1:
         raise InputError("dimension must be >= 1")
-    hit = _opt_cache.get(d)
-    if hit is not None:
-        return hit
     approx = [
         math.log(x + 2) + d * (math.log(2 * x) / (x + 1) + math.log1p(1 / x))
         for x in range(1, scan_bound(d) + 1)
@@ -116,9 +114,7 @@ def optimize_L(d: int) -> tuple[int, mpmath.mpf, mpmath.mpf]:
         best_L = min(logs, key=logs.__getitem__)  # first minimum: ties go to the lowest L
         h_min = mpmath.e ** logs[best_L]
         m = mpmath.mpf(2) ** d * h_min
-    out = (best_L, h_min, m)
-    _opt_cache[d] = out
-    return out
+    return best_L, h_min, m
 
 
 def optimal_lambda(J: int) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -139,36 +135,39 @@ def optimal_lambda(J: int) -> tuple[mpmath.mpf, mpmath.mpf]:
 def bdj_lambda(d: int) -> mpmath.mpf:
     """Solve 3^d - (lambda^(1/d) - 2)^d / 2 = lambda on [(5/2)^d, 3^d].
 
-    Bisection; the sign change at the bracket endpoints and strict decrease
-    along the bracket are checked numerically.  The relative width is driven
-    far below 1e-12 (to ten digits short of working precision): the gap
-    3^d - lambda_d approaches 1/2 from below with margin ~3^-d, so certifying
-    it for d up to 30 needs absolute accuracy well beyond 1e-12 relative.
+    Bisection in t = lambda^(1/d) on [5/2, 3], where the defining function
+    f(t) = 3^d - (t - 2)^d / 2 - t^d needs only integer powers; the sign change
+    at the bracket endpoints and strict decrease along the bracket are checked
+    numerically.  The relative width of lambda = t^d is about d times that of
+    t, so t is driven to tol/d, where tol is far below 1e-12 (ten digits short
+    of working precision): the gap 3^d - lambda_d approaches 1/2 from below
+    with margin ~3^-d, so certifying it for d up to 30 needs absolute accuracy
+    well beyond 1e-12 relative.
     """
     if d < 1:
         raise InputError("dimension must be >= 1")
     with mpmath.workdps(_dps):
-        dm = mpmath.mpf(d)
+        three_d = mpmath.mpf(3) ** d
 
-        def f(lam):
-            return 3 ** dm - (lam ** (1 / dm) - 2) ** dm / 2 - lam
+        def f(t):
+            return three_d - (t - 2) ** d / 2 - t ** d
 
-        lo = (mpmath.mpf(5) / 2) ** dm
-        hi = mpmath.mpf(3) ** dm
+        lo = mpmath.mpf(5) / 2
+        hi = mpmath.mpf(3)
         flo, fhi = f(lo), f(hi)
         if not (flo > 0 > fhi):
             raise VerificationError(f"no sign change on the bracket at d={d}")
         probes = [f(lo + (hi - lo) * k / 8) for k in range(9)]
         if any(p2 >= p1 for p1, p2 in zip(probes, probes[1:])):
             raise VerificationError(f"defining function is not decreasing on the bracket at d={d}")
-        tol = min(mpmath.mpf("1e-12"), mpmath.mpf(10) ** (10 - _dps))
+        tol = min(mpmath.mpf("1e-12"), mpmath.mpf(10) ** (10 - _dps)) / d
         while (hi - lo) / lo > tol:
             mid = (lo + hi) / 2
             if f(mid) > 0:
                 lo = mid
             else:
                 hi = mid
-        return (lo + hi) / 2
+        return ((lo + hi) / 2) ** d
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,7 @@ def gen_cell(d: int) -> Collection:
     if d >= DYADIC_CAP.bit_length():
         raise CapExceededError(f"cell cap is {DYADIC_CAP} cubes, d={d} has 2^{d}")
     half = Fraction(1, 2)
-    cubes = [
-        Cube(tuple(k + half for k in corner), half)
-        for corner in product((0, 1), repeat=d)
-    ]
+    cubes = [Cube(center, half) for center in product((half, 3 * half), repeat=d)]
     return Collection(d, tuple(cubes))
 
 
@@ -58,8 +55,8 @@ def gen_dyadic(d: int, levels: int) -> Collection:
     for depth in range(levels + 1):
         side = Fraction(1 << (levels - depth))
         r = side / 2
-        for corner in product(range(1 << depth), repeat=d):
-            cubes.append(Cube(tuple(k * side + r for k in corner), r))
+        coords = tuple(k * side + r for k in range(1 << depth))
+        cubes.extend(Cube(center, r) for center in product(coords, repeat=d))
     return Collection(d, tuple(cubes))
 
 

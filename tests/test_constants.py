@@ -150,6 +150,34 @@ def test_bdj_lambda_gap_to_vitali():
         assert 1 / lam > mpmath.mpf(3) ** -d
 
 
+def _lambda_space_bdj(d, dps):
+    # Independent reference: bisection in lambda itself on [(5/2)^d, 3^d],
+    # taking the real power lambda^(1/d) at every step.
+    with mpmath.workdps(dps):
+        dm = mpmath.mpf(d)
+        lo, hi = (mpmath.mpf(5) / 2) ** dm, mpmath.mpf(3) ** dm
+        tol = mpmath.mpf(10) ** (10 - dps)
+        while (hi - lo) / lo > tol:
+            mid = (lo + hi) / 2
+            if 3 ** dm - (mid ** (1 / dm) - 2) ** dm / 2 - mid > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def test_bdj_lambda_matches_lambda_space_bisection():
+    try:
+        constants.set_precision(50)
+        for d in range(1, 31):
+            lam = constants.bdj_lambda(d)
+            want = _lambda_space_bdj(d, 50)
+            with mpmath.workdps(50):
+                assert abs(lam - want) / want <= mpmath.mpf("1e-38"), d
+    finally:
+        constants.set_precision(constants.DEFAULT_DPS)
+
+
 def test_bounds_table_spot_rows():
     rows = constants.bounds_table(13)
     d9, d13 = rows[8], rows[12]

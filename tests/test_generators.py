@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -47,6 +47,27 @@ def test_cell_at_cap_builds_all():
 def test_cell_over_cap(d):
     with pytest.raises(CapExceededError):
         gen_cell(d)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_cell_matches_direct_construction(d):
+    want = [
+        (tuple(k + Fraction(1, 2) for k in corner), Fraction(1, 2))
+        for corner in product((0, 1), repeat=d)
+    ]
+    assert [(q.center, q.radius) for q in gen_cell(d).cubes] == want
+
+
+@pytest.mark.parametrize("d,levels", [(1, 1), (1, 4), (2, 3), (3, 2), (4, 1)])
+def test_dyadic_matches_direct_construction(d, levels):
+    want = []
+    for depth in range(levels + 1):
+        side = Fraction(2) ** (levels - depth)
+        want += [
+            (tuple(k * side + side / 2 for k in corner), side / 2)
+            for corner in product(range(2 ** depth), repeat=d)
+        ]
+    assert [(q.center, q.radius) for q in gen_dyadic(d, levels).cubes] == want
 
 
 def test_dyadic_d1_level1():
