@@ -62,11 +62,21 @@ def _parse_scalar(text: str) -> Fraction:
         size += int(exponent) if exponent.isdecimal() else 0
     if limit and size > limit:
         raise InputError(f"bad scalar {_excerpt(text)}: more than {limit} digits")
+    # Plain "p/q" and integers, as this package writes them, skip Fraction's parser.
+    num, slash, den = text.partition("/")
     try:
+        if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(int(num), int(den or 1))
         return as_scalar(text)
     except (ValueError, ZeroDivisionError):
         # Both errors' own messages repeat the whole input.
         raise InputError(f"bad scalar {_excerpt(text)}: not a finite rational") from None
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # int() would take 2.9 as 2, and "2" or true too
+        raise TypeError(f"{what} must be a JSON integer, not {type(value).__name__}")
+    return value
 
 
 def collection_to_json(c: Collection, meta: dict | None = None) -> dict:
@@ -84,7 +94,7 @@ def collection_to_json(c: Collection, meta: dict | None = None) -> dict:
 
 def collection_from_json(doc: dict) -> Collection:
     try:
-        dim = int(doc["dim"])
+        dim = _json_int(doc["dim"], "dim")
         cubes = []
         for entry in doc["cubes"]:
             center = tuple(_parse_scalar(x) for x in entry["center"])
@@ -109,7 +119,7 @@ def selection_to_json(algo: str, sel: Selection, params: dict | None = None) -> 
 def selection_from_json(doc: dict) -> Selection:
     try:
         return Selection(
-            tuple(int(i) for i in doc["indices"]),
+            tuple(_json_int(i, "selection index") for i in doc["indices"]),
             _parse_scalar(doc["achieved_ratio"]),
             _parse_scalar(doc["certified_bound"]),
         )

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -44,7 +46,8 @@ class Cube:
     radius: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(as_scalar(x) for x in self.center))
+        if not (type(self.center) is tuple and set(map(type, self.center)) == {Fraction}):
+            object.__setattr__(self, "center", tuple(as_scalar(x) for x in self.center))
         object.__setattr__(self, "radius", as_scalar(self.radius))
         if len(self.center) < 1:
             raise ValueError("cube must live in dimension >= 1")
@@ -58,6 +61,22 @@ class Cube:
     @property
     def volume(self) -> Fraction:
         return (2 * self.radius) ** self.dim
+
+
+class Grid(NamedTuple):
+    """Cubes on one integer grid: the scalars' lcm denominator D, and c·D, r·D per cube."""
+
+    denom: int
+    centers: tuple[tuple[int, ...], ...]
+    radii: tuple[int, ...]
+
+    def meets(self, i: int, j: int) -> bool:
+        """:func:`intersects` for cubes i and j, on the grid's integers."""
+        reach = self.radii[i] + self.radii[j]
+        for x, y in zip(self.centers[i], self.centers[j]):
+            if not -reach <= x - y <= reach:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -77,6 +96,14 @@ class Collection:
 
     def __len__(self) -> int:
         return len(self.cubes)
+
+    @cached_property
+    def grid(self) -> Grid:
+        """The cubes on one integer grid, built on first use."""
+        scalars = [(*q.center, q.radius) for q in self.cubes]
+        denom = math.lcm(*(x.denominator for row in scalars for x in row))
+        rows = [[x.numerator * (denom // x.denominator) for x in row] for row in scalars]
+        return Grid(denom, tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows))
 
 
 @dataclass(frozen=True)
@@ -124,52 +151,49 @@ def union_volume(c: Collection, method: str = "compression", cap: int = IE_DEFAU
 
     Two independent methods are provided and agree exactly wherever both
     apply: "compression" and "inclusion_exclusion" (subset expansion with
-    empty-intersection pruning, capped at `cap` cubes).  "compression" maps
-    every face to an integer grid, then in the plane runs Bentley's
-    segment-tree sweep (O(n log n)) and in any other dimension a memoized
-    recursive sweep over the axes, practical for moderate dimension.
+    empty-intersection pruning, capped at `cap` cubes).  "compression" takes
+    every face from the collection's integer grid (:attr:`Collection.grid`),
+    then in the plane runs Bentley's segment-tree sweep (O(n log n)) and in
+    any other dimension a memoized recursive sweep over the axes, practical
+    for moderate dimension.  It is cached on `(dim, grid)`, integers only.
     """
     if not c.cubes:
         raise EmptyCollectionError("union volume of an empty collection is undefined")
     if method == "compression":
-        return _union_volume_compression(c)
+        return _union_volume_compression(c.dim, c.grid)
     if method in ("inclusion_exclusion", "ie"):
         return _union_volume_inclusion_exclusion(c, cap)
     raise ValueError(f"unknown union-volume method {method!r}")
 
 
 @lru_cache(maxsize=4096)
-def _union_volume_compression(c: Collection) -> Fraction:
-    lo_idx, hi_idx, axis_xs, axis_scale = _compress(c)
-    sweep = _planar_sweep if c.dim == 2 else _recursive_sweep
+def _union_volume_compression(dim: int, grid: Grid) -> Fraction:
+    lo_idx, hi_idx, axis_xs, axis_scale = _compress(dim, grid)
+    sweep = _planar_sweep if dim == 2 else _recursive_sweep
     return Fraction(sweep(lo_idx, hi_idx, axis_xs), math.prod(axis_scale))
 
 
-def _compress(c: Collection):
+def _compress(dim: int, grid: Grid):
     """Integer grid of the cube boundaries, axis by axis.
 
-    Per axis, the <= 2n boundary coordinates are rescaled by the lcm of their
-    denominators to integers `axis_xs[axis]` (sorted, distinct), so sweeps
-    work in exact integer arithmetic throughout; `lo_idx[axis][i]` and
-    `hi_idx[axis][i]` are the grid positions of cube i's faces and
-    `axis_scale[axis]` is the rescaling factor.
+    Per axis, the <= 2n faces c·D ± r·D are divided by their gcd g with D, so
+    `axis_scale[axis]` = D/g is those faces' least common denominator and no
+    integer is larger than the axis needs.  `axis_xs[axis]` holds the scaled
+    faces, sorted and distinct; `lo_idx[axis][i]`, `hi_idx[axis][i]` index it.
     """
-    lo_idx: list[list[int]] = []
-    hi_idx: list[list[int]] = []
-    axis_xs: list[list[int]] = []
-    axis_scale: list[int] = []
-    for axis in range(c.dim):
-        los = [q.center[axis] - q.radius for q in c.cubes]
-        his = [q.center[axis] + q.radius for q in c.cubes]
-        denom = math.lcm(*(v.denominator for v in los), *(v.denominator for v in his))
-        ilos = [v.numerator * (denom // v.denominator) for v in los]
-        ihis = [v.numerator * (denom // v.denominator) for v in his]
+    lo_idx, hi_idx, axis_xs, axis_scale = [], [], [], []
+    for axis in range(dim):
+        los = [x[axis] - r for x, r in zip(grid.centers, grid.radii)]
+        his = [x[axis] + r for x, r in zip(grid.centers, grid.radii)]
+        g = math.gcd(grid.denom, *los, *his)
+        ilos = [v // g for v in los]
+        ihis = [v // g for v in his]
         xs = sorted(set(ilos) | set(ihis))
         pos = {x: k for k, x in enumerate(xs)}
         lo_idx.append([pos[x] for x in ilos])
         hi_idx.append([pos[x] for x in ihis])
         axis_xs.append(xs)
-        axis_scale.append(denom)
+        axis_scale.append(grid.denom // g)
     return lo_idx, hi_idx, axis_xs, axis_scale
 
 
@@ -311,11 +335,9 @@ def _check_indices(c: Collection, indices: tuple[int, ...]) -> None:
 
 
 def _check_disjoint(c: Collection, indices: tuple[int, ...]) -> None:
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            i, j = indices[a], indices[b]
-            if intersects(c.cubes[i], c.cubes[j]):
-                raise NotDisjointError(f"selected cubes {i} and {j} intersect")
+    for i, j in combinations(indices, 2):
+        if c.grid.meets(i, j):
+            raise NotDisjointError(f"selected cubes {i} and {j} intersect")
 
 
 def selected_volume(c: Collection, indices) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import CapExceededError, EmptyCollectionError, NotDisjointError, VerificationError
 from .geometry import (
@@ -18,7 +19,6 @@ from .geometry import (
     Selection,
     _check_disjoint,
     _check_indices,
-    intersects,
     make_selection,
     selected_volume,
     union_volume,
@@ -44,11 +44,10 @@ class IntersectionGraph:
 def intersection_graph(c: Collection) -> IntersectionGraph:
     n = len(c.cubes)
     adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if intersects(c.cubes[i], c.cubes[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for i, j in combinations(range(n), 2):
+        if c.grid.meets(i, j):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return IntersectionGraph(tuple(q.volume for q in c.cubes), tuple(adj))
 
 
@@ -57,8 +56,8 @@ def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, S
 
     Branch-and-bound on the intersection graph: branch on the remaining
     vertex of highest residual degree, prune with current weight plus total
-    remaining weight, seed with a max-weight-first greedy solution.  All
-    weights are exact rationals.
+    remaining weight, seed with a max-weight-first greedy solution.  Weights
+    are the grid's integers (2 r D)^d: volumes times D^d, same order and ties.
     """
     n = len(c.cubes)
     if n == 0:
@@ -66,14 +65,13 @@ def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, S
     if n > cap:
         raise CapExceededError(f"oracle cap is {cap}, got {n} cubes")
 
-    g = intersection_graph(c)
-    w = g.weights
-    adj = g.adjacency
+    adj = intersection_graph(c).adjacency
+    w = [(2 * r) ** c.dim for r in c.grid.radii]
     closed = [adj[i] | (1 << i) for i in range(n)]
     full = (1 << n) - 1
 
     # Seed: one greedy pass, heaviest first; the stable sort breaks ties by index.
-    best_w, best_set = Fraction(0), 0
+    best_w, best_set = 0, 0
     free = full
     for i in sorted(range(n), key=w.__getitem__, reverse=True):
         if free >> i & 1:
@@ -81,7 +79,7 @@ def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, S
             best_set |= 1 << i
             free &= ~closed[i]
 
-    def search(mask: int, cur_w: Fraction, cur_set: int) -> None:
+    def search(mask: int, cur_w: int, cur_set: int) -> None:
         nonlocal best_w, best_set
         if mask == 0:
             if cur_w > best_w:
@@ -107,14 +105,14 @@ def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, S
         search(mask & ~closed[v], cur_w + w[v], cur_set | (1 << v))
         search(mask & ~(1 << v), cur_w, cur_set)
 
-    search(full, Fraction(0), 0)
+    search(full, 0, 0)
 
     indices = tuple(i for i in range(n) if best_set >> i & 1)
-    witness_union = union_volume(Collection(c.dim, tuple(c.cubes[i] for i in indices)))
-    if witness_union != best_w:
+    best_vol = Fraction(best_w, c.grid.denom ** c.dim)
+    if union_volume(Collection(c.dim, tuple(c.cubes[i] for i in indices))) != best_vol:
         raise VerificationError("witness volume sum does not equal its union volume")
     total = union_volume(c)
-    phi = best_w / total
+    phi = best_vol / total
     witness = make_selection(c, indices, phi, total_volume=total)
     return phi, witness
 

@@ -23,7 +23,6 @@ from .geometry import (
     Cube,
     Selection,
     as_scalar,
-    intersects,
     make_selection,
     union_volume,
 )
@@ -130,7 +129,7 @@ def _maximal_greedy(c: Collection, order) -> list[int]:
         chosen.append(i)
         alive[i] = False
         for j in range(n):
-            if alive[j] and intersects(c.cubes[i], c.cubes[j]):
+            if alive[j] and c.grid.meets(i, j):
                 alive[j] = False
     return sorted(chosen)
 
@@ -219,11 +218,7 @@ def lacunary_select(
     kept: list[int] = []
     pruned: list[list[int]] = [[] for _ in ls.windows]
     for j in reversed(range(len(ls.windows))):
-        mine = [
-            i
-            for i in buckets[j]
-            if all(not intersects(c.cubes[i], c.cubes[k]) for k in kept)
-        ]
+        mine = [i for i in buckets[j] if not any(c.grid.meets(i, k) for k in kept)]
         pruned[j] = mine
         kept.extend(mine)
 

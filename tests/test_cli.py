@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cubecover.cli import collection_from_json, collection_to_json, main, selection_from_json
+from cubecover.errors import InputError
 from support import load_golden_table
 
 
@@ -146,6 +147,31 @@ def test_invalid_cube_exits_1(tmp_path, capsys, cube):
     inst = tmp_path / "bad.json"
     inst.write_text(json.dumps({"dim": 2, "cubes": [cube]}))
     assert run(capsys, "volume", "--in", str(inst))[0] == 1
+
+
+@pytest.mark.parametrize("indices", [[0.7, 1.2], [0.0], [True], ["0"]])
+def test_verify_non_integer_indices_exit_1(tmp_path, capsys, indices):
+    # int() would read [0.7, 1.2] as [0, 1], and every check would pass.
+    inst = tmp_path / "r.json"
+    sel = tmp_path / "sel.json"
+    run(capsys, "gen", "--kind", "random", "--d", "2", "--n", "6", "--rmin", "1/8", "--rmax", "1/4",
+        "--seed", "2", "--out", str(inst))
+    assert run(capsys, "select", "--algo", "greedy", "--in", str(inst), "--out", str(sel))[0] == 0
+    doc = json.loads(sel.read_text())
+    sel.write_text(json.dumps({**doc, "indices": indices}))
+    code, out = run(capsys, "verify", "--in", str(inst), "--sel", str(sel))
+    assert code == 1 and out == ""
+    with pytest.raises(InputError, match="JSON integer"):
+        selection_from_json({**doc, "indices": indices})
+
+
+@pytest.mark.parametrize("dim", [2.9, 2.0, True, "2"])
+def test_non_integer_dim_exits_1(tmp_path, capsys, dim):
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps({"dim": dim, "cubes": [{"center": ["0", "0"], "radius": "1"}]}))
+    assert run(capsys, "volume", "--in", str(inst))[0] == 1
+    with pytest.raises(InputError, match="dim must be a JSON integer"):
+        collection_from_json(json.loads(inst.read_text()))
 
 
 def test_long_certificates_still_parse():
