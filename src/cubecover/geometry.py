@@ -64,17 +64,19 @@ class Cube:
 
 
 class Grid(NamedTuple):
-    """Cubes on one integer grid: the scalars' lcm denominator D, and c·D, r·D per cube."""
+    """Cubes on integers: radii r·R over their lcm denominator R, and on axis k
+    centers c·D_k, with D_k = R·scales[k] the least multiple of R clearing them."""
 
-    denom: int
+    rdenom: int
+    scales: tuple[int, ...]
     centers: tuple[tuple[int, ...], ...]
     radii: tuple[int, ...]
 
     def meets(self, i: int, j: int) -> bool:
         """:func:`intersects` for cubes i and j, on the grid's integers."""
         reach = self.radii[i] + self.radii[j]
-        for x, y in zip(self.centers[i], self.centers[j]):
-            if not -reach <= x - y <= reach:
+        for x, y, m in zip(self.centers[i], self.centers[j], self.scales):
+            if not -reach * m <= x - y <= reach * m:
                 return False
         return True
 
@@ -99,11 +101,13 @@ class Collection:
 
     @cached_property
     def grid(self) -> Grid:
-        """The cubes on one integer grid, built on first use."""
-        scalars = [(*q.center, q.radius) for q in self.cubes]
-        denom = math.lcm(*(x.denominator for row in scalars for x in row))
-        rows = [[x.numerator * (denom // x.denominator) for x in row] for row in scalars]
-        return Grid(denom, tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows))
+        """The cubes on integers, built on first use.  Each axis has its own
+        denominator: with a prime per scalar, one for all is d+1 times as long."""
+        rdenom = math.lcm(*(q.radius.denominator for q in self.cubes))
+        dens = [math.lcm(rdenom, *(q.center[k].denominator for q in self.cubes)) for k in range(self.dim)]
+        centers = tuple(tuple(x.numerator * (dk // x.denominator) for x, dk in zip(q.center, dens)) for q in self.cubes)
+        radii = tuple(q.radius.numerator * (rdenom // q.radius.denominator) for q in self.cubes)
+        return Grid(rdenom, tuple(dk // rdenom for dk in dens), centers, radii)
 
 
 @dataclass(frozen=True)
@@ -151,11 +155,10 @@ def union_volume(c: Collection, method: str = "compression", cap: int = IE_DEFAU
 
     Two independent methods are provided and agree exactly wherever both
     apply: "compression" and "inclusion_exclusion" (subset expansion with
-    empty-intersection pruning, capped at `cap` cubes).  "compression" takes
-    every face from the collection's integer grid (:attr:`Collection.grid`),
-    then in the plane runs Bentley's segment-tree sweep (O(n log n)) and in
-    any other dimension a memoized recursive sweep over the axes, practical
-    for moderate dimension.  It is cached on `(dim, grid)`, integers only.
+    empty-intersection pruning, capped at `cap` cubes).  "compression" sweeps
+    the faces of the integer :attr:`Collection.grid`: in the plane with
+    Bentley's segment tree (O(n log n)), in any other dimension with a memoized
+    recursion over the axes.  Cached on `(dim, grid)`, integers only.
     """
     if not c.cubes:
         raise EmptyCollectionError("union volume of an empty collection is undefined")
@@ -168,24 +171,25 @@ def union_volume(c: Collection, method: str = "compression", cap: int = IE_DEFAU
 
 @lru_cache(maxsize=4096)
 def _union_volume_compression(dim: int, grid: Grid) -> Fraction:
-    lo_idx, hi_idx, axis_xs, axis_scale = _compress(dim, grid)
+    lo_idx, hi_idx, axis_xs, axis_scale = _compress(grid)
     sweep = _planar_sweep if dim == 2 else _recursive_sweep
     return Fraction(sweep(lo_idx, hi_idx, axis_xs), math.prod(axis_scale))
 
 
-def _compress(dim: int, grid: Grid):
+def _compress(grid: Grid):
     """Integer grid of the cube boundaries, axis by axis.
 
-    Per axis, the <= 2n faces c·D ± r·D are divided by their gcd g with D, so
-    `axis_scale[axis]` = D/g is those faces' least common denominator and no
-    integer is larger than the axis needs.  `axis_xs[axis]` holds the scaled
+    Per axis, the <= 2n faces (c ± r)·D_k are divided by their gcd g with D_k,
+    so `axis_scale[axis]` = D_k/g is those faces' least common denominator and
+    no integer is larger than the axis needs.  `axis_xs[axis]` holds the scaled
     faces, sorted and distinct; `lo_idx[axis][i]`, `hi_idx[axis][i]` index it.
     """
     lo_idx, hi_idx, axis_xs, axis_scale = [], [], [], []
-    for axis in range(dim):
-        los = [x[axis] - r for x, r in zip(grid.centers, grid.radii)]
-        his = [x[axis] + r for x, r in zip(grid.centers, grid.radii)]
-        g = math.gcd(grid.denom, *los, *his)
+    for axis, m in enumerate(grid.scales):
+        los = [x[axis] - r * m for x, r in zip(grid.centers, grid.radii)]
+        his = [x[axis] + r * m for x, r in zip(grid.centers, grid.radii)]
+        denom = grid.rdenom * m
+        g = math.gcd(denom, *los, *his)
         ilos = [v // g for v in los]
         ihis = [v // g for v in his]
         xs = sorted(set(ilos) | set(ihis))
@@ -193,7 +197,7 @@ def _compress(dim: int, grid: Grid):
         lo_idx.append([pos[x] for x in ilos])
         hi_idx.append([pos[x] for x in ihis])
         axis_xs.append(xs)
-        axis_scale.append(grid.denom // g)
+        axis_scale.append(denom // g)
     return lo_idx, hi_idx, axis_xs, axis_scale
 
 

@@ -57,7 +57,7 @@ def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, S
     Branch-and-bound on the intersection graph: branch on the remaining
     vertex of highest residual degree, prune with current weight plus total
     remaining weight, seed with a max-weight-first greedy solution.  Weights
-    are the grid's integers (2 r D)^d: volumes times D^d, same order and ties.
+    are the grid's integers (2 r R)^d: volumes times R^d, same order and ties.
     """
     n = len(c.cubes)
     if n == 0:
@@ -108,7 +108,7 @@ def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, S
     search(full, 0, 0)
 
     indices = tuple(i for i in range(n) if best_set >> i & 1)
-    best_vol = Fraction(best_w, c.grid.denom ** c.dim)
+    best_vol = Fraction(best_w, c.grid.rdenom ** c.dim)
     if union_volume(Collection(c.dim, tuple(c.cubes[i] for i in indices))) != best_vol:
         raise VerificationError("witness volume sum does not equal its union volume")
     total = union_volume(c)

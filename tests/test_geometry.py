@@ -161,7 +161,7 @@ def test_union_volume_monotone_and_subadditive():
 
 def recursive_union_volume(c):
     """Union volume by the memoized recursion, the reference for the 2-d sweep."""
-    lo_idx, hi_idx, axis_xs, axis_scale = _compress(c.dim, c.grid)
+    lo_idx, hi_idx, axis_xs, axis_scale = _compress(c.grid)
     return Fraction(_recursive_sweep(lo_idx, hi_idx, axis_xs), math.prod(axis_scale))
 
 
@@ -171,7 +171,7 @@ def test_planar_sweep_matches_recursion(n):
     grid = random_collection(rng, 2, n)
     loguniform = gen_random(2, n, ("loguniform", Fraction(1, 16), Fraction(4)), seed=n)
     for c in (grid, loguniform):
-        lo_idx, hi_idx, axis_xs, _ = _compress(c.dim, c.grid)
+        lo_idx, hi_idx, axis_xs, _ = _compress(c.grid)
         assert _planar_sweep(lo_idx, hi_idx, axis_xs) == _recursive_sweep(lo_idx, hi_idx, axis_xs)
         assert union_volume(c) == recursive_union_volume(c)
 

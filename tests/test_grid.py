@@ -67,7 +67,7 @@ def test_union_volume_equals_inclusion_exclusion_mixed_denominators(cubes):
 
 def test_grid_values():
     c = Collection(2, (Cube((Fraction(1, 3), Fraction(-1, 4)), Fraction(1, 6)), Cube((2, 0), Fraction(5, 2))))
-    assert c.grid == (12, ((4, -3), (24, 0)), (2, 30))
+    assert c.grid == (6, (1, 2), ((2, -3), (12, 0)), (1, 15))
     assert c.grid is c.grid  # built once per collection
 
 
@@ -135,10 +135,10 @@ def _primes(count):
     return out
 
 
-def test_compress_scales_each_axis_by_its_own_denominator():
-    # A distinct prime denominator per scalar: the common denominator D is the
-    # product of all of them, but each axis's faces need only that axis's
-    # primes and the radii's.  _compress must scale by that, not by D.
+def test_grid_and_compress_scale_each_axis_by_its_own_denominator():
+    # A distinct prime denominator per scalar: one denominator for all scalars
+    # is the product of all of them, but each axis needs only its own centers'
+    # primes and the radii's.  The grid and _compress must scale by those.
     d, n = 3, 8
     primes = iter(_primes(n * (d + 1)))
     cubes = []
@@ -146,13 +146,19 @@ def test_compress_scales_each_axis_by_its_own_denominator():
         center = tuple(Fraction(i + 1, next(primes)) for _ in range(d))
         cubes.append(Cube(center, Fraction(1, next(primes))))
     c = Collection(d, tuple(cubes))
-    _, _, _, axis_scale = _compress(c.dim, c.grid)
+    common = math.lcm(*(x.denominator for q in cubes for x in (*q.center, q.radius)))
+    _, _, _, axis_scale = _compress(c.grid)
     for k in range(d):
+        own = math.lcm(*(q.radius.denominator for q in cubes), *(q.center[k].denominator for q in cubes))
+        assert c.grid.rdenom * c.grid.scales[k] == own < common
         faces = [q.center[k] + s * q.radius for q in cubes for s in (-1, 1)]
-        per_axis = math.lcm(*(f.denominator for f in faces))
-        assert axis_scale[k] == per_axis
-        assert axis_scale[k] < c.grid.denom
+        assert axis_scale[k] == math.lcm(*(f.denominator for f in faces))
     assert union_volume(c) == union_volume(c, "inclusion_exclusion")
+    # Faces can need less than the axis's denominator: 1/6 ± 1/6 and 1/2 ± 1/2
+    # lie on thirds, though the centers and radii need sixths.
+    c = Collection(1, (Cube((Fraction(1, 6),), Fraction(1, 6)), Cube((Fraction(1, 2),), Fraction(1, 2))))
+    assert c.grid.rdenom * c.grid.scales[0] == 6
+    assert _compress(c.grid)[3] == [3]
 
 
 @settings(max_examples=60, deadline=None)
