@@ -9,10 +9,12 @@ never subject to rounding.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import getitem, itemgetter, le, lt, or_, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -23,6 +25,9 @@ from .errors import (
 )
 
 IE_DEFAULT_CAP = 20
+# Work budgets of one union volume, far above what realistic input needs.
+WFG_PAIR_CAP = 1 << 26  # box pairs the exclusive-volume engine's sets hold
+SWEEP_MEMO_CAP = 1 << 24  # machine words the recursive sweep's memo holds
 
 
 def as_scalar(value) -> Fraction:
@@ -155,10 +160,14 @@ def union_volume(c: Collection, method: str = "compression", cap: int = IE_DEFAU
 
     Two independent methods are provided and agree exactly wherever both
     apply: "compression" and "inclusion_exclusion" (subset expansion with
-    empty-intersection pruning, capped at `cap` cubes).  "compression" sweeps
-    the faces of the integer :attr:`Collection.grid`: in the plane with
-    Bentley's segment tree (O(n log n)), in any other dimension with a memoized
-    recursion over the axes.  Cached on `(dim, grid)`, integers only.
+    empty-intersection pruning, capped at `cap` cubes).  "compression" runs
+    one of three engines on the faces of the integer :attr:`Collection.grid`,
+    picked from the data: in the plane Bentley's segment tree (O(n log n));
+    on a line, and on grid-like input where every axis has fewer distinct
+    faces than there are cubes, a memoized recursion over the axes; anywhere
+    else WFG's exclusive volumes.  Both of the last two have a work budget
+    (SWEEP_MEMO_CAP, WFG_PAIR_CAP) past which they raise CapExceededError.
+    Cached on `(dim, grid)`, integers only.
     """
     if not c.cubes:
         raise EmptyCollectionError("union volume of an empty collection is undefined")
@@ -172,8 +181,19 @@ def union_volume(c: Collection, method: str = "compression", cap: int = IE_DEFAU
 @lru_cache(maxsize=4096)
 def _union_volume_compression(dim: int, grid: Grid) -> Fraction:
     lo_idx, hi_idx, axis_xs, axis_scale = _compress(grid)
-    sweep = _planar_sweep if dim == 2 else _recursive_sweep
-    return Fraction(sweep(lo_idx, hi_idx, axis_xs), math.prod(axis_scale))
+    engine = _pick_engine(axis_xs, len(grid.radii))
+    return Fraction(engine(lo_idx, hi_idx, axis_xs), math.prod(axis_scale))
+
+
+def _pick_engine(axis_xs, n: int):
+    """The segment tree in the plane; the recursive sweep on a line and on
+    grid-like input, where every axis has fewer distinct faces than there are
+    cubes; exclusive volumes everywhere else."""
+    if len(axis_xs) == 2:
+        return _planar_sweep
+    if len(axis_xs) == 1 or all(len(xs) < n for xs in axis_xs):
+        return _recursive_sweep
+    return _exclusive_volumes
 
 
 def _compress(grid: Grid):
@@ -202,20 +222,29 @@ def _compress(grid: Grid):
 
 
 def _recursive_sweep(lo_idx, hi_idx, axis_xs) -> int:
-    """Scaled integer volume by a memoized recursive sweep, in any dimension."""
+    """Scaled integer volume by a memoized recursive sweep, in any dimension.
+
+    Raises CapExceededError once the memo holds SWEEP_MEMO_CAP words, an
+    entry counting its key's cube indices plus 16 for its tuples and slot.
+    """
     d = len(axis_xs)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    held = 0
 
     def sweep(axis: int, active: tuple[int, ...]) -> int:
         # Integer volume (in scaled units) of the union of the cross-sections
         # of `active` over axes >= axis.  Grid cells are grouped into maximal
         # runs with a constant covering set, so cost is driven by events.
+        nonlocal held
         if axis == d:
             return 1
         key = (axis, active)
         cached = memo.get(key)
         if cached is not None:
             return cached
+        held += len(active) + 16
+        if held > SWEEP_MEMO_CAP:
+            raise CapExceededError(f"union-volume sweep cap is {SWEEP_MEMO_CAP} memo words")
         starts: dict[int, list[int]] = {}
         ends: dict[int, list[int]] = {}
         for i in active:
@@ -237,6 +266,119 @@ def _recursive_sweep(lo_idx, hi_idx, axis_xs) -> int:
         return total
 
     return sweep(0, tuple(range(len(lo_idx[0]))))
+
+
+_volume_key = itemgetter(0)  # boxes are (volume, lower corner, upper corner)
+
+
+def _exclusive_volumes(lo_idx, hi_idx, axis_xs) -> int:
+    """Scaled integer volume from exclusive volumes, after While, Bradstreet
+    and Barone's WFG ("A fast way of calculating exact hypervolumes", 2012).
+
+    With the boxes in ascending order of volume (a stable sort),
+    vol(U) = Σ_i vol(b_i) − vol(∪_{j>i} b_i ∩ b_j): each box adds the part
+    that no later box covers.  A box inside a later box adds nothing.  Any
+    other box's limit set, its meets of positive measure with later boxes
+    less every meet inside another, is measured the same way one level down,
+    with the opposite sign.  Sets run on an explicit stack, one frame per
+    level.  Raises CapExceededError once the sets opened hold WFG_PAIR_CAP
+    box pairs in all, m² for a set of m boxes: that bounds the time and the
+    overlap masks, m² bits a set.
+    """
+    boxes = []
+    for los, his in zip(zip(*lo_idx), zip(*hi_idx)):
+        lo = tuple(map(getitem, axis_xs, los))
+        hi = tuple(map(getitem, axis_xs, his))
+        boxes.append((math.prod(map(sub, hi, lo)), lo, hi))
+    boxes.sort(key=_volume_key)
+    total = 0
+    pairs = 0
+    stack = [(1, boxes, None, 0)]
+    while stack:
+        sign, boxes, masks, i = stack.pop()
+        if i == 0:
+            pairs += len(boxes) ** 2
+            if pairs > WFG_PAIR_CAP:
+                raise CapExceededError(f"union-volume WFG cap is {WFG_PAIR_CAP} box pairs")
+            masks = _overlap_masks(boxes)
+        if i + 1 < len(boxes):
+            stack.append((sign, boxes, masks, i + 1))
+        vol, lo, hi = boxes[i]
+        limit = []
+        for _, olo, ohi in _later_meets(boxes, masks, i):
+            mlo = tuple(map(max, lo, olo))
+            mhi = tuple(map(min, hi, ohi))
+            if mlo == lo and mhi == hi:
+                break
+            limit.append((math.prod(map(sub, mhi, mlo)), mlo, mhi))
+        else:
+            total += sign * vol
+            if len(limit) == 1:
+                total -= sign * limit[0][0]
+            elif limit:
+                stack.append((-sign, _maximal(limit), None, 0))
+    return total
+
+
+MASK_MIN = 8  # boxes from which a set's meets come from sorted faces, not pair tests
+
+
+def _overlap_masks(boxes) -> list[int] | None:
+    """Per box, the bitmask of the later boxes that meet it in positive
+    measure, bit k for box i + 1 + k; None below MASK_MIN boxes.
+
+    Each axis is sorted once by lower and by upper faces, and prefix masks
+    of those orders give the boxes whose lower face lies below a given upper
+    face, and the reverse; a box's mask is their AND over the axes.
+    """
+    n = len(boxes)
+    if n < MASK_MIN:
+        return None
+    masks = [(1 << n) - 1] * n
+    for k in range(len(boxes[0][1])):
+        los = [b[1][k] for b in boxes]
+        his = [b[2][k] for b in boxes]
+        by_lo = sorted(range(n), key=los.__getitem__)
+        by_hi = sorted(range(n), key=his.__getitem__, reverse=True)
+        sorted_los = [los[j] for j in by_lo]
+        falling_his = [-his[j] for j in by_hi]
+        below = list(accumulate((1 << j for j in by_lo), or_, initial=0))
+        above = list(accumulate((1 << j for j in by_hi), or_, initial=0))
+        for i in range(n):
+            masks[i] &= below[bisect_left(sorted_los, his[i])] & above[bisect_left(falling_his, -los[i])]
+    return [mask >> (i + 1) for i, mask in enumerate(masks)]
+
+
+def _later_meets(boxes, masks, i: int) -> list:
+    """The boxes after box i that meet it in positive measure."""
+    if masks is None:
+        _, lo, hi = boxes[i]
+        return [o for o in boxes[i + 1:] if all(map(lt, o[1], hi)) and all(map(lt, lo, o[2]))]
+    later = []
+    mask = masks[i]
+    while mask:
+        low = mask & -mask
+        later.append(boxes[i + low.bit_length()])
+        mask ^= low
+    return later
+
+
+def _maximal(boxes: list) -> list:
+    """The boxes in ascending order of volume, less each box inside another.
+
+    A box inside another is inside a later one or equal to it, so a backward
+    pass that keeps each box no kept box contains leaves one of each."""
+    boxes.sort(key=_volume_key)
+    kept = []
+    for box in reversed(boxes):
+        _, lo, hi = box
+        for _, klo, khi in kept:
+            if all(map(le, klo, lo)) and all(map(le, hi, khi)):
+                break
+        else:
+            kept.append(box)
+    kept.reverse()
+    return kept
 
 
 def _planar_sweep(lo_idx, hi_idx, axis_xs) -> int:

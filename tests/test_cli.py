@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubecover import cli
 from cubecover.cli import collection_from_json, collection_to_json, main, selection_from_json
 from cubecover.errors import InputError
 from support import load_golden_table
@@ -251,3 +252,39 @@ def test_gen_cell_over_cap_exits_3(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # The argparse tree is built once per process; calls through it, with
+    # bad argv in between, must behave as calls through a fresh tree.
+    inst, sel = str(tmp_path / "r.json"), str(tmp_path / "sel.json")
+    calls = [
+        ["gen", "--kind", "random", "--d", "3", "--n", "6", "--rmin", "1/2", "--rmax", "2", "--seed", "4", "--out", inst],
+        ["volume", "--in", inst],
+        ["select", "--algo", "quantum", "--in", inst],
+        ["select", "--algo", "greedy", "--in", inst, "--out", sel],
+        ["volume"],
+        ["verify", "--in", inst, "--sel", sel],
+        ["frobnicate"],
+        ["oracle", "--in", inst],
+        ["table", "--dmax", "3", "--format", "md"],
+        ["--help"],
+        ["volume", "--in", inst, "--method", "ie"],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: builds.append(1) or build())
+    cli._parser.cache_clear()
+    shared = [call(argv) for argv in calls]
+    assert len(builds) == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0]
