@@ -2,7 +2,8 @@
 
 ``tests/data/cli_golden.json`` holds, for every instance and every call, the
 exit code and the SHA-256 of stdout and stderr, so "same indices, same exact
-ratios, same certificates" is checked rather than claimed.  The file is
+ratios, same certificates" is checked rather than claimed.  The constants
+engine's calls, which read no instance, are pinned the same way.  The file is
 regenerated only for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -55,6 +56,14 @@ CALLS = {
     "verify-pipeline": ("verify", "--sel", "{sel}"),
 }
 
+# name -> CLI arguments of a constants-engine call
+CONSTANTS_CALLS = {
+    "table-d40-compare": ("table", "--dmax", "40", "--compare"),
+    "table-d40-compare-md-digits45": ("table", "--dmax", "40", "--compare", "--format", "md", "--digits", "45"),
+    "table-d106-compare-digits20": ("table", "--dmax", "106", "--compare", "--digits", "20"),
+    "frontier": ("frontier",),
+}
+
 
 def _mix_denominators(doc):
     # Shift every center coordinate and radius by small fractions with odd,
@@ -100,11 +109,19 @@ def test_cli_outputs_match_golden(name, tmp_path):
     assert run_instance(name, str(tmp_path)) == golden[name]
 
 
+@pytest.mark.parametrize("name", sorted(CONSTANTS_CALLS))
+def test_constants_outputs_match_golden(name):
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert _call(list(CONSTANTS_CALLS[name])) == golden[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as work:
         table = {name: run_instance(name, work) for name in sorted(INSTANCES)}
+    table.update({name: _call(list(args)) for name, args in CONSTANTS_CALLS.items()})
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(table, handle, indent=1, sort_keys=True)
         handle.write("\n")
