@@ -77,38 +77,75 @@ def scan_bound(d: int) -> int:
 
 
 def optimize_L(d: int) -> tuple[int, mpmath.mpf, mpmath.mpf]:
-    """Exhaustive integer minimization of h_d over [1, scan_bound(d)].
+    """Integer minimization of h_d over [1, scan_bound(d)].
 
     Returns (L_d, h_d(L_d), m_d) where L_d is the minimal argmin and
     m_d = 2^d h_d(L_d).  The logarithmic derivative of h_d is positive beyond
     the scan bound, so the scan cannot miss the minimum.
 
     The scan minimizes v(x) = log h_d(x) = log(x+2) + d (log(2x)/(x+1) + log(1+1/x))
-    in two passes.  A float64 pass evaluates v at every integer in the range and
-    keeps each x within 1e-9 (v_min + 1) of the float minimum v_min; only those
-    are evaluated again at working precision, and the lowest x of least value
-    wins, exactly as in a full working-precision scan.  This cannot change the
-    result: for x >= 1 every term of v is positive, so the float value of v(x)
-    is within about 6 * 2^-53 * v(x) of the truth, and at 15 or more digits
-    (set_precision enforces this) the working-precision value is as close or
-    closer.  Let x* be the minimal argmin of the working-precision values and y
-    the float argmin.  Chaining the two relative errors through v(x*) <= v(y)
-    puts the float value of v(x*) within about 24 * 2^-53 * v_min of v_min,
-    over 10^5 times inside the margin, so x* always survives, and a full
-    working-precision scan could never have chosen an x the float pass drops.
+    in two passes.  A float64 pass keeps each x within 1e-9 (v_min + 1) of the
+    float minimum v_min; only those are evaluated again at working precision,
+    and the lowest x of least value wins, exactly as in a full working-precision
+    scan.  This cannot change the result: for x >= 1 every term of v is
+    positive, so the float value of v(x) is within about 6 * 2^-53 * v(x) of
+    the truth, and at 15 or more digits (set_precision enforces this) the
+    working-precision value is as close or closer.  Let x* be the minimal
+    argmin of the working-precision values and y the float argmin.  Chaining
+    the two relative errors through v(x*) <= v(y) puts the float value of
+    v(x*) within about 24 * 2^-53 * v_min of v_min, over 10^5 times inside the
+    margin, so x* always survives, and a full working-precision scan could
+    never have chosen an x the float pass drops.
+
+    The float pass runs only near the minimum, by this lemma: v is unimodal on
+    [1, oo).  Its derivative v'(x) = 1/(x+2) - d log(2x)/(x+1)^2 has the sign of
+    q(x) - d, where q(x) = (x+1)^2 / ((x+2) log 2x).  On [1, 2], q < 2 (and
+    q > 1.6); on [2, oo), q is strictly increasing, since (log q)' =
+    (x+3)/((x+1)(x+2)) - 1/(x log 2x) is positive exactly when
+    log 2x > 1 + 2/(x^2+3x), which holds at x = 2 and so beyond, the left side
+    rising and the right side falling.  Hence for d >= 2, v strictly decreases
+    and then strictly increases, and for d = 1 (q > 1.6 > d) it strictly
+    increases.  On the integers, v strictly falls to its least value, taken at
+    one x or at two neighbours, and then strictly rises.
+
+    A bisection finds the first x with float v(x+1) >= v(x), and a walk goes
+    left and right from there until float v exceeds the cutoff of the running
+    minimum.  Toward the minimum, exact v falls, so the float values stay
+    within 12 * 2^-53 * v of the running minimum and the walk cannot stop;
+    past it, exact v only grows, so every x beyond a stop has a float value
+    above the cutoff up to 12 * 2^-53 * v, far too high to win.  The walk thus
+    visits x*, y and every contender, from any starting point: the bisection
+    only makes it short, a dozen points or so for every d tried.
     """
     if d < 1:
         raise InputError("dimension must be >= 1")
-    approx = [
-        math.log(x + 2) + d * (math.log(2 * x) / (x + 1) + math.log1p(1 / x))
-        for x in range(1, scan_bound(d) + 1)
-    ]
-    v_min = min(approx)
+
+    def v(x: int) -> float:
+        return math.log(x + 2) + d * (math.log(2 * x) / (x + 1) + math.log1p(1 / x))
+
+    lo, hi = 1, scan_bound(d)
+    bound = hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if v(mid + 1) >= v(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    approx = {lo: v(lo)}
+    v_min = approx[lo]
+    for step in (-1, 1):
+        x = lo + step
+        while 1 <= x <= bound:
+            approx[x] = v(x)
+            v_min = min(v_min, approx[x])
+            if approx[x] > v_min + 1e-9 * (v_min + 1):
+                break
+            x += step
     cutoff = v_min + 1e-9 * (v_min + 1)
     with mpmath.workdps(_dps):
         logs = {}
-        for L, v in enumerate(approx, start=1):
-            if v <= cutoff:
+        for L in sorted(approx):
+            if approx[L] <= cutoff:
                 t = mpmath.mpf(L)
                 logs[L] = mpmath.log(t + 2) + d * (mpmath.log(2 * t) / (t + 1) + mpmath.log(1 + 1 / t))
         best_L = min(logs, key=logs.__getitem__)  # first minimum: ties go to the lowest L
@@ -135,39 +172,72 @@ def optimal_lambda(J: int) -> tuple[mpmath.mpf, mpmath.mpf]:
 def bdj_lambda(d: int) -> mpmath.mpf:
     """Solve 3^d - (lambda^(1/d) - 2)^d / 2 = lambda on [(5/2)^d, 3^d].
 
-    Bisection in t = lambda^(1/d) on [5/2, 3], where the defining function
-    f(t) = 3^d - (t - 2)^d / 2 - t^d needs only integer powers; the sign change
-    at the bracket endpoints and strict decrease along the bracket are checked
-    numerically.  The relative width of lambda = t^d is about d times that of
-    t, so t is driven to tol/d, where tol is far below 1e-12 (ten digits short
-    of working precision): the gap 3^d - lambda_d approaches 1/2 from below
-    with margin ~3^-d, so certifying it for d up to 30 needs absolute accuracy
-    well beyond 1e-12 relative.
+    The root is bracketed in t = lambda^(1/d) on [5/2, 3], where the defining
+    function f(t) = 3^d - (t - 2)^d / 2 - t^d needs only integer powers; the
+    sign change at the bracket endpoints and strict decrease at nine probes
+    along the bracket are checked numerically.  The relative width of
+    lambda = t^d is about d times that of t, so t is driven to tol/d, where
+    tol is far below 1e-12 (ten digits short of working precision): the gap
+    3^d - lambda_d approaches 1/2 from below with margin ~3^-d, so certifying
+    it for d up to 30 needs absolute accuracy well beyond 1e-12 relative.
+
+    f' = -d ((t-2)^(d-1)/2 + t^(d-1)) < 0 and f'' <= 0, so f is decreasing and
+    concave on [5/2, 3], and for a bracket lo < root < hi its slope on
+    [root, hi] lies between f'(hi) and f'(lo).  Hence
+    hi - f(hi)/f'(lo) <= root <= hi - f(hi)/f'(hi): the upper end is Newton's
+    step from hi.  Each step evaluates f at both points, each moved outward by
+    a nudge of 2^-16 tol, and moves an end only where the sign of f certifies
+    it, so rounding never breaks the bracket.  A step that does not at least
+    halve the bracket (d = 1, where f is linear and both points are the root,
+    or a failed certificate) is followed by one bisection step.
+
+    3^d and t^d cancel in f: at working precision f(3) = -1/2 is lost to
+    rounding from d = 107 on.  The arithmetic therefore carries
+    ceil(d log10 3) + 10 guard digits, so f is exact to far below 1/2
+    absolutely, and the result is rounded to working precision.
     """
     if d < 1:
         raise InputError("dimension must be >= 1")
-    with mpmath.workdps(_dps):
+    with mpmath.workdps(_dps + math.ceil(d * math.log10(3)) + 10):
         three_d = mpmath.mpf(3) ** d
 
-        def f(t):
-            return three_d - (t - 2) ** d / 2 - t ** d
+        def f_df(t):
+            # (f(t), f'(t)) from the two powers (t-2)^(d-1) and t^(d-1)
+            u, w = (t - 2) ** (d - 1), t ** (d - 1)
+            return three_d - u * (t - 2) / 2 - w * t, -d * (u / 2 + w)
 
         lo = mpmath.mpf(5) / 2
         hi = mpmath.mpf(3)
-        flo, fhi = f(lo), f(hi)
+        (flo, dlo), (fhi, dhi) = f_df(lo), f_df(hi)
         if not (flo > 0 > fhi):
             raise VerificationError(f"no sign change on the bracket at d={d}")
-        probes = [f(lo + (hi - lo) * k / 8) for k in range(9)]
+        probes = [f_df(lo + (hi - lo) * k / 8)[0] for k in range(9)]
         if any(p2 >= p1 for p1, p2 in zip(probes, probes[1:])):
             raise VerificationError(f"defining function is not decreasing on the bracket at d={d}")
         tol = min(mpmath.mpf("1e-12"), mpmath.mpf(10) ** (10 - _dps)) / d
+        nudge = mpmath.ldexp(tol, -16)
         while (hi - lo) / lo > tol:
-            mid = (lo + hi) / 2
-            if f(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return ((lo + hi) / 2) ** d
+            width = hi - lo
+            a = (hi - fhi / dlo) * (1 - nudge)
+            b = (hi - fhi / dhi) * (1 + nudge)
+            if lo < a < hi:
+                fa, da = f_df(a)
+                if fa > 0:
+                    lo, dlo = a, da
+            if lo < b < hi:
+                fb, db = f_df(b)
+                if fb < 0:
+                    hi, fhi, dhi = b, fb, db
+            if hi - lo > width / 2:
+                mid = (lo + hi) / 2
+                fm, dm = f_df(mid)
+                if fm > 0:
+                    lo, dlo = mid, dm
+                else:
+                    hi, fhi, dhi = mid, fm, dm
+        lam = ((lo + hi) / 2) ** d
+    with mpmath.workdps(_dps):
+        return +lam
 
 
 @dataclass(frozen=True)

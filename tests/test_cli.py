@@ -215,6 +215,20 @@ def test_table_digits_flag(capsys):
     assert "16.970563" in out
 
 
+@pytest.mark.parametrize("dmax,compare", [(120, ()), (300, ("--compare",))])
+def test_table_past_d106(capsys, dmax, compare):
+    # From d = 107 on, 3^d - 1/2 is not representable in 50 digits.
+    code, out = run(capsys, "table", "--dmax", str(dmax), *compare)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == dmax + 1
+    if compare:
+        assert lines[0].split("\t")[4:7] == ["vitali", "rado", "bdj"]
+        for line in lines[1:]:
+            cells = line.split("\t")
+            assert float(cells[6]) >= float(cells[4]), cells[0]
+
+
 def test_frontier_reports_14(capsys):
     code, out = run(capsys, "frontier")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -67,32 +68,86 @@ def _log_terms(dps, upto):
         ]
 
 
-def _full_scan(d, dps, terms):
+def _full_scan(dps, dmax):
     # Independent reference: every x in [1, scan_bound(d)] at working precision,
     # strict <, so ties go to the lowest x.
-    with mpmath.workdps(dps):
-        logs = [a + d * b for a, b in terms[: constants.scan_bound(d)]]
-        best = min(range(len(logs)), key=logs.__getitem__)
-        h_min = mpmath.e ** logs[best]
-        return best + 1, h_min, mpmath.mpf(2) ** d * h_min
+    terms = _log_terms(dps, constants.scan_bound(dmax))
+
+    def scan(d):
+        with mpmath.workdps(dps):
+            logs = [a + d * b for a, b in terms[: constants.scan_bound(d)]]
+            best = min(range(len(logs)), key=logs.__getitem__)
+            h_min = mpmath.e ** logs[best]
+            return best + 1, h_min, mpmath.mpf(2) ** d * h_min
+
+    return scan
+
+
+def _full_float_pass(dps, dmax):
+    # Reference for dimensions where a full working-precision scan is too slow:
+    # the float64 pass at every x in [1, scan_bound(d)], with the same float
+    # operations and cutoff as optimize_L, then working precision on the
+    # survivors.
+    terms = [
+        (math.log(x + 2), math.log(2 * x) / (x + 1) + math.log1p(1 / x))
+        for x in range(1, constants.scan_bound(dmax) + 1)
+    ]
+
+    def scan(d):
+        approx = [a + d * b for a, b in terms[: constants.scan_bound(d)]]
+        v_min = min(approx)
+        cutoff = v_min + 1e-9 * (v_min + 1)
+        with mpmath.workdps(dps):
+            logs = {}
+            for L, v in enumerate(approx, start=1):
+                if v <= cutoff:
+                    t = mpmath.mpf(L)
+                    logs[L] = mpmath.log(t + 2) + d * (mpmath.log(2 * t) / (t + 1) + mpmath.log(1 + 1 / t))
+            best = min(logs, key=logs.__getitem__)
+            h_min = mpmath.e ** logs[best]
+            return best, h_min, mpmath.mpf(2) ** d * h_min
+
+    return scan
 
 
 @pytest.mark.parametrize(
-    "dps,dims",
-    [(15, range(1, 61)), (50, range(1, 61)), (100, range(1, 61)), (50, (100, 317, 1000))],
+    "dps,dims,reference",
+    [
+        (15, range(1, 61), _full_scan),
+        (50, range(1, 61), _full_scan),
+        (100, range(1, 61), _full_scan),
+        (50, (100, 317, 1000), _full_scan),
+        (50, range(61, 401), _full_float_pass),
+        (50, (2000, 5000), _full_float_pass),
+    ],
+    ids=["15-dims0", "50-dims1", "100-dims2", "50-dims3", "50-dims4", "50-dims5"],
 )
-def test_optimize_L_bit_identical_to_full_scan(dps, dims):
+def test_optimize_L_bit_identical_to_full_scan(dps, dims, reference):
     # _mpf_ is the exact (sign, mantissa, exponent, bit count) tuple; repr at
     # the default 15 digits would hide a difference in the last bits.
     try:
         constants.set_precision(dps)
-        terms = _log_terms(dps, constants.scan_bound(max(dims)))
+        scan = reference(dps, max(dims))
         for d in dims:
             L, h_min, m = constants.optimize_L(d)
-            want_L, want_h, want_m = _full_scan(d, dps, terms)
+            want_L, want_h, want_m = scan(d)
             assert (L, h_min._mpf_, m._mpf_) == (want_L, want_h._mpf_, want_m._mpf_), d
     finally:
         constants.set_precision(constants.DEFAULT_DPS)
+
+
+def test_unimodality_lemma_inequalities():
+    # q(x) = (x+1)^2 / ((x+2) log 2x).  On a piece [a, b] of [1, 2] the
+    # numerator and both factors of the denominator increase, so q lies
+    # between (a+1)^2 / ((b+2) log 2b) and (b+1)^2 / ((a+2) log 2a).
+    with mpmath.workdps(30):
+        edges = [1 + mpmath.mpf(k) / 1000 for k in range(1001)]
+        for a, b in zip(edges, edges[1:]):
+            assert (b + 1) ** 2 / ((a + 2) * mpmath.log(2 * a)) < 2
+            assert (a + 1) ** 2 / ((b + 2) * mpmath.log(2 * b)) > 1.6
+        # log 2x rises and 1 + 2/(x^2 + 3x) falls, so x = 2 settles [2, oo):
+        # there q increases, and stays above q(2) > 1.6.
+        assert mpmath.log(4) > 1 + mpmath.mpf(2) / (2 ** 2 + 3 * 2)
 
 
 def test_optimize_L_minimizer_at_one():
@@ -176,6 +231,43 @@ def test_bdj_lambda_matches_lambda_space_bisection():
                 assert abs(lam - want) / want <= mpmath.mpf("1e-38"), d
     finally:
         constants.set_precision(constants.DEFAULT_DPS)
+
+
+def _t_space_bdj(d, dps):
+    # Independent reference: plain bisection in t = lambda^(1/d) on [5/2, 3]
+    # down to a relative width of 10^(10 - dps) / d, at working precision.
+    with mpmath.workdps(dps):
+        lo, hi = mpmath.mpf(5) / 2, mpmath.mpf(3)
+        tol = min(mpmath.mpf("1e-12"), mpmath.mpf(10) ** (10 - dps)) / d
+        while (hi - lo) / lo > tol:
+            mid = (lo + hi) / 2
+            if 3 ** mpmath.mpf(d) - (mid - 2) ** d / 2 - mid ** d > 0:
+                lo = mid
+            else:
+                hi = mid
+        return ((lo + hi) / 2) ** d
+
+
+def test_bdj_lambda_matches_t_space_bisection():
+    try:
+        constants.set_precision(50)
+        for d in range(1, 107):
+            lam = constants.bdj_lambda(d)
+            want = _t_space_bdj(d, 50)
+            with mpmath.workdps(50):
+                assert abs(lam - want) / want <= mpmath.mpf("1e-38"), d
+    finally:
+        constants.set_precision(constants.DEFAULT_DPS)
+
+
+@pytest.mark.parametrize("d", [107, 300, 1000])
+def test_bdj_lambda_past_working_precision(d):
+    # 3^d - lambda_d is below 1/2, under the last of 50 digits of 3^d from
+    # d = 107 on; lambda_d is driven to 10^-40 relative, as for every d.
+    lam = constants.bdj_lambda(d)
+    with mpmath.workdps(60):
+        three_d = mpmath.mpf(3) ** d
+        assert abs(three_d - lam) / three_d <= mpmath.mpf("1e-40")
 
 
 def test_bounds_table_spot_rows():
