@@ -195,7 +195,11 @@ def cmd_gen(args) -> int:
 def cmd_volume(args) -> int:
     c = collection_from_json(_load_json(args.infile))
     vol = union_volume(c, args.method)
-    print(f"{vol}\t{float(vol):.12g}")
+    try:
+        approx = f"{float(vol):.12g}"
+    except OverflowError:  # beyond the float range: 12 digits from mpmath
+        approx = mpmath.nstr(mpmath.mpf(vol.numerator) / vol.denominator, 12)
+    print(f"{vol}\t{approx}")
     return 0
 
 

@@ -222,29 +222,26 @@ def _compress(grid: Grid):
 
 
 def _recursive_sweep(lo_idx, hi_idx, axis_xs) -> int:
-    """Scaled integer volume by a memoized recursive sweep, in any dimension.
+    """Scaled integer volume by a memoized sweep over the axes, in any dimension.
 
-    Raises CapExceededError once the memo holds SWEEP_MEMO_CAP words, an
-    entry counting its key's cube indices plus 16 for its tuples and slot.
+    One level per axis sweeps its events and takes the volume of each run's
+    cross-section from the next axis.  Levels are generators on an explicit
+    stack, one frame per axis, so the depth is not bounded by Python's
+    recursion limit.  Raises CapExceededError once the memo holds
+    SWEEP_MEMO_CAP words, an entry counting its key's cube indices plus 16
+    for its tuples and slot.
     """
     d = len(axis_xs)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
     held = 0
+    stack = []
 
-    def sweep(axis: int, active: tuple[int, ...]) -> int:
+    def sweep(axis: int, active: tuple[int, ...]):
         # Integer volume (in scaled units) of the union of the cross-sections
         # of `active` over axes >= axis.  Grid cells are grouped into maximal
         # runs with a constant covering set, so cost is driven by events.
-        nonlocal held
-        if axis == d:
-            return 1
-        key = (axis, active)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        held += len(active) + 16
-        if held > SWEEP_MEMO_CAP:
-            raise CapExceededError(f"union-volume sweep cap is {SWEEP_MEMO_CAP} memo words")
+        # A cross-section not yet in the memo is yielded as (axis + 1, set);
+        # the level resumes once that key's volume is in the memo.
         starts: dict[int, list[int]] = {}
         ends: dict[int, list[int]] = {}
         for i in active:
@@ -256,16 +253,35 @@ def _recursive_sweep(lo_idx, hi_idx, axis_xs) -> int:
         prev = -1
         for p in sorted(set(starts) | set(ends)):
             if cur:
-                total += (xs[p] - xs[prev]) * sweep(axis + 1, tuple(sorted(cur)))
+                section = tuple(sorted(cur))
+                vol = 1 if axis + 1 == d else memo.get((axis + 1, section))
+                if vol is None:
+                    yield axis + 1, section
+                    vol = memo[axis + 1, section]
+                total += (xs[p] - xs[prev]) * vol
             for i in ends.get(p, ()):
                 cur.discard(i)
             for i in starts.get(p, ()):
                 cur.add(i)
             prev = p
-        memo[key] = total
-        return total
+        memo[axis, active] = total
 
-    return sweep(0, tuple(range(len(lo_idx[0]))))
+    def push(axis: int, active: tuple[int, ...]) -> None:
+        nonlocal held
+        held += len(active) + 16
+        if held > SWEEP_MEMO_CAP:
+            raise CapExceededError(f"union-volume sweep cap is {SWEEP_MEMO_CAP} memo words")
+        stack.append(sweep(axis, active))
+
+    root = tuple(range(len(lo_idx[0])))
+    push(0, root)
+    while stack:
+        request = next(stack[-1], None)
+        if request is None:
+            stack.pop()
+        else:
+            push(*request)
+    return memo[0, root]
 
 
 _volume_key = itemgetter(0)  # boxes are (volume, lower corner, upper corner)

@@ -196,3 +196,23 @@ def test_volume_d14_n1000_within_budget(tmp_path, capsys):
     cubes = json.loads(inst.read_text())["cubes"]
     sides = [2 * Fraction(q["radius"]) for q in cubes]
     assert max(sides) ** 14 < vol < sum(s ** 14 for s in sides)
+
+
+@pytest.mark.parametrize(
+    "cubes,want",
+    [
+        ([("0", "1")] * 3, 2 ** 1200),  # grid-like: the sweep, one level per axis
+        ([("0", "1"), ("1", "1"), ("0", "1/2")], 3 * 2 ** 1199),  # WFG
+    ],
+    ids=["identical", "distinct"],
+)
+def test_volume_at_d1200(tmp_path, capsys, cubes, want):
+    # Past Python's recursion limit in axes, and past the float range in volume.
+    d = 1200
+    doc = {"dim": d, "cubes": [{"center": [c0] + ["0"] * (d - 1), "radius": r} for c0, r in cubes]}
+    inst = tmp_path / "d1200.json"
+    inst.write_text(json.dumps(doc))
+    assert main(["volume", "--in", str(inst)]) == 0
+    exact, approx = capsys.readouterr().out.rstrip("\n").split("\t")
+    assert exact == str(want)
+    assert abs(Fraction(approx) / want - 1) < Fraction(1, 10 ** 11)
