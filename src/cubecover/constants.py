@@ -115,7 +115,7 @@ def optimize_L(d: int) -> tuple[int, mpmath.mpf, mpmath.mpf]:
     past it, exact v only grows, so every x beyond a stop has a float value
     above the cutoff up to 12 * 2^-53 * v, far too high to win.  The walk thus
     visits x*, y and every contender, from any starting point: the bisection
-    only makes it short, a dozen points or so for every d tried.
+    only makes it short, 2 to 22 points for d = 1..1000, 2000 and 5000.
     """
     if d < 1:
         raise InputError("dimension must be >= 1")
@@ -123,8 +123,8 @@ def optimize_L(d: int) -> tuple[int, mpmath.mpf, mpmath.mpf]:
     def v(x: int) -> float:
         return math.log(x + 2) + d * (math.log(2 * x) / (x + 1) + math.log1p(1 / x))
 
-    lo, hi = 1, scan_bound(d)
-    bound = hi
+    top = scan_bound(d)
+    lo, hi = 1, top
     while lo < hi:
         mid = (lo + hi) // 2
         if v(mid + 1) >= v(mid):
@@ -135,7 +135,7 @@ def optimize_L(d: int) -> tuple[int, mpmath.mpf, mpmath.mpf]:
     v_min = approx[lo]
     for step in (-1, 1):
         x = lo + step
-        while 1 <= x <= bound:
+        while 1 <= x <= top:
             approx[x] = v(x)
             v_min = min(v_min, approx[x])
             if approx[x] > v_min + 1e-9 * (v_min + 1):
@@ -186,10 +186,13 @@ def bdj_lambda(d: int) -> mpmath.mpf:
     [root, hi] lies between f'(hi) and f'(lo).  Hence
     hi - f(hi)/f'(lo) <= root <= hi - f(hi)/f'(hi): the upper end is Newton's
     step from hi.  Each step evaluates f at both points, each moved outward by
-    a nudge of 2^-16 tol, and moves an end only where the sign of f certifies
-    it, so rounding never breaks the bracket.  A step that does not at least
-    halve the bracket (d = 1, where f is linear and both points are the root,
-    or a failed certificate) is followed by one bisection step.
+    a relative nudge of 2^-16 tol, and moves an end only where the sign of f
+    certifies it, so rounding never breaks the bracket.  A step that does not
+    at least halve the bracket is followed by one bisection step, so the
+    search ends even where a certificate fails (no step needed it for
+    d <= 107, 300 or 1000).  After the probes, d = 1..106 take 1 to 10
+    evaluations of f; from d = 100 on, the root lies within about 3^-d / d
+    of 3 and one evaluation ends the search.
 
     3^d and t^d cancel in f: at working precision f(3) = -1/2 is lost to
     rounding from d = 107 on.  The arithmetic therefore carries
@@ -208,11 +211,12 @@ def bdj_lambda(d: int) -> mpmath.mpf:
 
         lo = mpmath.mpf(5) / 2
         hi = mpmath.mpf(3)
-        (flo, dlo), (fhi, dhi) = f_df(lo), f_df(hi)
+        # nine probes at exactly representable points, the first lo, the last hi
+        probes = [f_df(lo + (hi - lo) * k / 8) for k in range(9)]
+        (flo, dlo), (fhi, dhi) = probes[0], probes[-1]
         if not (flo > 0 > fhi):
             raise VerificationError(f"no sign change on the bracket at d={d}")
-        probes = [f_df(lo + (hi - lo) * k / 8)[0] for k in range(9)]
-        if any(p2 >= p1 for p1, p2 in zip(probes, probes[1:])):
+        if any(p2[0] >= p1[0] for p1, p2 in zip(probes, probes[1:])):
             raise VerificationError(f"defining function is not decreasing on the bracket at d={d}")
         tol = min(mpmath.mpf("1e-12"), mpmath.mpf(10) ** (10 - _dps)) / d
         nudge = mpmath.ldexp(tol, -16)
