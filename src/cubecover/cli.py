@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
 from . import constants
 from .errors import CapExceededError, InputError, VerificationError
 from .generators import GenSpec, generate
-from .geometry import Collection, Cube, Selection, as_scalar, union_volume
+from .geometry import Collection, Selection, union_volume
 from .oracle import ORACLE_DEFAULT_CAP, phi_exact, verify_guarantee
 from .selection import (
     LacunaryStructure,
@@ -48,7 +49,8 @@ def _excerpt(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
-def _parse_scalar(text: str) -> Fraction:
+def _parse_pair(text: str) -> tuple[int, int]:
+    """A rational scalar as its reduced (numerator, denominator), denominator > 0."""
     text = str(text)
     # Fraction() expands a decimal exponent in full, at a cost that grows
     # faster than the exponent ("1e10000000" takes seconds), so a scalar whose
@@ -67,11 +69,20 @@ def _parse_scalar(text: str) -> Fraction:
     num, slash, den = text.partition("/")
     try:
         if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
-            return Fraction(int(num), int(den or 1))
-        return as_scalar(text)
+            p, q = int(num), int(den or 1)
+            if not q:
+                raise ZeroDivisionError
+            g = math.gcd(p, q)
+            return p // g, q // g
+        x = Fraction(text)
+        return x.numerator, x.denominator
     except (ValueError, ZeroDivisionError):
         # Both errors' own messages repeat the whole input.
         raise InputError(f"bad scalar {_excerpt(text)}: not a finite rational") from None
+
+
+def _parse_scalar(text: str) -> Fraction:
+    return Fraction(*_parse_pair(text))
 
 
 def _json_int(value, what: str) -> int:
@@ -96,11 +107,11 @@ def collection_to_json(c: Collection, meta: dict | None = None) -> dict:
 def collection_from_json(doc: dict) -> Collection:
     try:
         dim = _json_int(doc["dim"], "dim")
-        cubes = []
-        for entry in doc["cubes"]:
-            center = tuple(_parse_scalar(x) for x in entry["center"])
-            cubes.append(Cube(center, _parse_scalar(entry["radius"])))
-        return Collection(dim, tuple(cubes))
+        cubes = (
+            (tuple(_parse_pair(x) for x in entry["center"]), _parse_pair(entry["radius"]))
+            for entry in doc["cubes"]
+        )
+        return Collection.from_pairs(dim, cubes)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance: {exc}") from None
 
@@ -195,9 +206,9 @@ def cmd_gen(args) -> int:
 def cmd_volume(args) -> int:
     c = collection_from_json(_load_json(args.infile))
     vol = union_volume(c, args.method)
-    try:
+    if sys.float_info.min <= vol <= sys.float_info.max:
         approx = f"{float(vol):.12g}"
-    except OverflowError:  # beyond the float range: 12 digits from mpmath
+    else:  # beyond the normal float range, where float() overflows or loses digits: 12 from mpmath
         approx = mpmath.nstr(mpmath.mpf(vol.numerator) / vol.denominator, 12)
     print(f"{vol}\t{approx}")
     return 0
@@ -270,6 +281,15 @@ def _fixed(x, digits: int) -> str:
     return f"{whole}.{frac:0{digits}d}"
 
 
+def _scientific(x) -> str:
+    # d.dddddde±XX of a positive high-precision float; below the normal float
+    # range float() loses digits and then reaches 0, so mpmath formats it.
+    approx = float(x)
+    if approx >= sys.float_info.min:
+        return f"{approx:.6e}"
+    return mpmath.nstr(x, 7, strip_zeros=False, min_fixed=0, max_fixed=0)
+
+
 def cmd_table(args) -> int:
     rows = constants.bounds_table(args.dmax)
     headers = ["d", "L_d", "m_d", "m_d/3^d"]
@@ -279,7 +299,7 @@ def cmd_table(args) -> int:
     for row in rows:
         cells = [str(row.d), str(row.L), _fixed(row.m, args.digits), _fixed(row.m_over_3d, args.digits)]
         if args.compare:
-            cells += [f"{float(v):.6e}" for v in (row.vitali, row.rado, row.bdj, row.ours)]
+            cells += [_scientific(v) for v in (row.vitali, row.rado, row.bdj, row.ours)]
         lines.append(cells)
     if args.format == "md":
         print("| " + " | ".join(lines[0]) + " |")

@@ -54,10 +54,7 @@ class Cube:
         if not (type(self.center) is tuple and set(map(type, self.center)) == {Fraction}):
             object.__setattr__(self, "center", tuple(as_scalar(x) for x in self.center))
         object.__setattr__(self, "radius", as_scalar(self.radius))
-        if len(self.center) < 1:
-            raise ValueError("cube must live in dimension >= 1")
-        if self.radius <= 0:
-            raise ValueError("cube radius must be positive")
+        _check_cube(len(self.center), self.radius)
 
     @property
     def dim(self) -> int:
@@ -86,33 +83,101 @@ class Grid(NamedTuple):
         return True
 
 
-@dataclass(frozen=True)
+def _check_cube(dim: int, radius) -> None:
+    """A cube's own checks, from its dimension and its radius (or the radius's numerator)."""
+    if dim < 1:
+        raise ValueError("cube must live in dimension >= 1")
+    if radius <= 0:
+        raise ValueError("cube radius must be positive")
+
+
+def _check_dims(dim: int, cube_dims) -> None:
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    for k in cube_dims:
+        if k != dim:
+            raise ValueError(f"cube of dimension {k} in a {dim}-d collection")
+
+
+def _grid_from_pairs(dim: int, centers, radii) -> Grid:
+    """The canonical grid of cubes given as reduced (p, q) pairs, q > 0: per
+    cube a tuple of d center pairs, and a radius pair.  Each axis has its own
+    denominator: with a prime per scalar, one for all is d+1 times as long."""
+    rdenom = math.lcm(*[q for _, q in radii])
+    axes = [[center[k] for center in centers] for k in range(dim)]
+    dens = [math.lcm(rdenom, *[q for _, q in axis]) for axis in axes]
+    return Grid(
+        rdenom,
+        tuple([dk // rdenom for dk in dens]),
+        tuple(zip(*[[p * (dk // q) for p, q in axis] for axis, dk in zip(axes, dens)])),
+        tuple([p * (rdenom // q) for p, q in radii]),
+    )
+
+
 class Collection:
-    """Ordered finite list of cubes sharing one ambient dimension."""
+    """Ordered finite list of cubes sharing one ambient dimension.
 
-    dim: int
-    cubes: tuple[Cube, ...]
+    Immutable.  Built from cubes, or by :meth:`from_pairs` straight onto its
+    integer :attr:`grid`; the other view is built on first use.  Two
+    collections are equal iff they have the same dimension and the same
+    cubes, which is compared and hashed on `(dim, grid)`: the grid is a
+    one-to-one function of the cubes.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "cubes", tuple(self.cubes))
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        for q in self.cubes:
-            if q.dim != self.dim:
-                raise ValueError(f"cube of dimension {q.dim} in a {self.dim}-d collection")
+    def __init__(self, dim: int, cubes):
+        cubes = tuple(cubes)
+        _check_dims(dim, (q.dim for q in cubes))
+        vars(self).update(dim=dim, cubes=cubes)
+
+    @classmethod
+    def from_pairs(cls, dim: int, cubes) -> Collection:
+        """The collection of `cubes`, each a (center, radius) of reduced
+        (p, q) pairs, q > 0, built on the grid with no `Cube`.  The cubes are
+        read in order, each checked as a `Cube` would be as it arrives."""
+        centers, radii = [], []
+        for center, radius in cubes:
+            _check_cube(len(center), radius[0])
+            centers.append(center)
+            radii.append(radius)
+        _check_dims(dim, map(len, centers))
+        self = object.__new__(cls)
+        vars(self).update(dim=dim, grid=_grid_from_pairs(dim, centers, radii))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Collection")
+
+    def __eq__(self, other):
+        if not isinstance(other, Collection):
+            return NotImplemented
+        return self.dim == other.dim and self.grid == other.grid
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.grid))
+
+    def __repr__(self) -> str:
+        return f"Collection(dim={self.dim!r}, cubes={self.cubes!r})"
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.grid.radii)
+
+    @cached_property
+    def cubes(self) -> tuple[Cube, ...]:
+        """The cubes as `Fraction`s, built from the grid on first use."""
+        grid = self.grid
+        dens = [grid.rdenom * m for m in grid.scales]
+        return tuple(
+            Cube(tuple(map(Fraction, x, dens)), Fraction(r, grid.rdenom)) for x, r in zip(grid.centers, grid.radii)
+        )
 
     @cached_property
     def grid(self) -> Grid:
-        """The cubes on integers, built on first use.  Each axis has its own
-        denominator: with a prime per scalar, one for all is d+1 times as long."""
-        rdenom = math.lcm(*(q.radius.denominator for q in self.cubes))
-        dens = [math.lcm(rdenom, *(q.center[k].denominator for q in self.cubes)) for k in range(self.dim)]
-        centers = tuple(tuple(x.numerator * (dk // x.denominator) for x, dk in zip(q.center, dens)) for q in self.cubes)
-        radii = tuple(q.radius.numerator * (rdenom // q.radius.denominator) for q in self.cubes)
-        return Grid(rdenom, tuple(dk // rdenom for dk in dens), centers, radii)
+        """The cubes on integers, built on first use."""
+        return _grid_from_pairs(
+            self.dim,
+            [[(x.numerator, x.denominator) for x in q.center] for q in self.cubes],
+            [(q.radius.numerator, q.radius.denominator) for q in self.cubes],
+        )
 
 
 @dataclass(frozen=True)
@@ -169,7 +234,7 @@ def union_volume(c: Collection, method: str = "compression", cap: int = IE_DEFAU
     (SWEEP_MEMO_CAP, WFG_PAIR_CAP) past which they raise CapExceededError.
     Cached on `(dim, grid)`, integers only.
     """
-    if not c.cubes:
+    if not len(c):
         raise EmptyCollectionError("union volume of an empty collection is undefined")
     if method == "compression":
         return _union_volume_compression(c.dim, c.grid)
@@ -492,8 +557,8 @@ def _check_indices(c: Collection, indices: tuple[int, ...]) -> None:
         raise EmptyCollectionError("selection has no indices")
     if list(indices) != sorted(set(indices)):
         raise ValueError("selection indices must be sorted and unique")
-    if indices[0] < 0 or indices[-1] >= len(c.cubes):
-        raise IndexError(f"selection index out of range for {len(c.cubes)} cubes")
+    if indices[0] < 0 or indices[-1] >= len(c):
+        raise IndexError(f"selection index out of range for {len(c)} cubes")
 
 
 def _check_disjoint(c: Collection, indices: tuple[int, ...]) -> None:
@@ -503,8 +568,10 @@ def _check_disjoint(c: Collection, indices: tuple[int, ...]) -> None:
 
 
 def selected_volume(c: Collection, indices) -> Fraction:
-    """Total volume of the indexed cubes (equals their union volume when disjoint)."""
-    return sum((c.cubes[i].volume for i in indices), Fraction(0))
+    """Total volume of the indexed cubes (equals their union volume when disjoint),
+    as Σ(2 r_i)^d / R^d on the grid's integers."""
+    radii = c.grid.radii
+    return Fraction(sum((2 * radii[i]) ** c.dim for i in indices), c.grid.rdenom ** c.dim)
 
 
 def ratio(s: Selection, c: Collection) -> Fraction:

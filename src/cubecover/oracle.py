@@ -170,7 +170,7 @@ def verify_guarantee(
         checks.append(CheckResult("indices valid", False, str(exc)))
     if not valid:
         return VerifyReport(tuple(checks), None)
-    checks.append(CheckResult("indices valid", True, f"{len(idx)} of {len(c.cubes)} cubes"))
+    checks.append(CheckResult("indices valid", True, f"{len(idx)} of {len(c)} cubes"))
 
     try:
         _check_disjoint(c, idx)
@@ -202,7 +202,7 @@ def verify_guarantee(
         )
     )
 
-    if phi is None and len(c.cubes) <= cap:
+    if phi is None and len(c) <= cap:
         phi, _ = phi_exact(c, cap)
     if phi is not None:
         checks.append(

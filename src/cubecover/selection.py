@@ -13,6 +13,7 @@ congruent cubes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,7 +112,7 @@ def unit_gamma(d: int, mode: str) -> Fraction:
 
 
 def _require_nonempty(c: Collection) -> None:
-    if not c.cubes:
+    if not len(c):
         raise EmptyCollectionError("selection requires a nonempty collection")
 
 
@@ -120,7 +121,7 @@ def _maximal_greedy(c: Collection, order) -> list[int]:
 
     The result is a maximal disjoint family, returned as sorted indices.
     """
-    n = len(c.cubes)
+    n = len(c)
     alive = [True] * n
     chosen = []
     for i in order:
@@ -142,7 +143,7 @@ def greedy_vitali(c: Collection) -> Selection:
     concentric inflation of some selected cube.
     """
     _require_nonempty(c)
-    order = sorted(range(len(c.cubes)), key=lambda i: c.cubes[i].radius, reverse=True)
+    order = sorted(range(len(c)), key=c.grid.radii.__getitem__, reverse=True)
     return make_selection(c, _maximal_greedy(c, order), Fraction(1, 3 ** c.dim))
 
 
@@ -248,6 +249,20 @@ def _floor_log(lam: Fraction, value: Fraction) -> int:
     return m
 
 
+def _band_exponents(lam: Fraction, radii: list[Fraction]) -> list[int]:
+    """:func:`_floor_log` of each radius: the band [lam^m, lam^(m+1)) it lies in.
+
+    Only the extreme radii take a logarithm; the others are placed among the
+    powers of lam between them by bisection.  With more bands than radii
+    (lam near 1) that list would outgrow the work it saves, so each radius
+    takes its own logarithm instead."""
+    lo, hi = _floor_log(lam, min(radii)), _floor_log(lam, max(radii))
+    if hi - lo > len(radii):
+        return [_floor_log(lam, r) for r in radii]
+    powers = [lam ** m for m in range(lo + 1, hi + 1)]
+    return [lo + bisect_right(powers, r) for r in radii]
+
+
 def pipeline_select(c: Collection, params: PipelineParams, cap: int = ORACLE_DEFAULT_CAP) -> Selection:
     """Full selection pipeline for arbitrary radii.
 
@@ -263,7 +278,7 @@ def pipeline_select(c: Collection, params: PipelineParams, cap: int = ORACLE_DEF
     d = c.dim
     J, lam = params.J, params.lam
 
-    exps = [_floor_log(lam, q.radius) for q in c.cubes]
+    exps = _band_exponents(lam, [q.radius for q in c.cubes])
     classes: dict[int, list[int]] = {}
     for i, m in enumerate(exps):
         classes.setdefault(m % J, []).append(i)

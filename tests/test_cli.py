@@ -1,9 +1,11 @@
 import json
+import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from cubecover import cli
+from cubecover import cli, constants
 from cubecover.cli import collection_from_json, collection_to_json, main, selection_from_json
 from cubecover.errors import InputError
 from support import load_golden_table
@@ -227,6 +229,20 @@ def test_table_past_d106(capsys, dmax, compare):
         for line in lines[1:]:
             cells = line.split("\t")
             assert float(cells[6]) >= float(cells[4]), cells[0]
+
+
+def test_table_compare_below_float_range(capsys):
+    # From d = 645 the comparison columns are subnormal as floats, and from
+    # d = 680 they would print as zero.
+    code, out = run(capsys, "table", "--dmax", "700", "--compare")
+    assert code == 0
+    cells = out.splitlines()[-1].split("\t")
+    assert cells[0] == "700"
+    three = mpmath.mpf(3) ** 700
+    want = [1 / three, 1 / (three - mpmath.mpf(7) ** -700), 1 / constants.bdj_lambda(700)]
+    for cell, value in zip(cells[4:7], want):
+        assert re.fullmatch(r"\d\.\d{6}e-\d{3}", cell), cell
+        assert abs(mpmath.mpf(cell) / value - 1) < 5e-7, (cell, value)
 
 
 def test_frontier_reports_14(capsys):

@@ -203,11 +203,12 @@ def test_volume_d14_n1000_within_budget(tmp_path, capsys):
     [
         ([("0", "1")] * 3, 2 ** 1200),  # grid-like: the sweep, one level per axis
         ([("0", "1"), ("1", "1"), ("0", "1/2")], 3 * 2 ** 1199),  # WFG
+        ([("0", "1/4")], Fraction(1, 2 ** 1200)),  # below the float range
     ],
-    ids=["identical", "distinct"],
+    ids=["identical", "distinct", "tiny"],
 )
 def test_volume_at_d1200(tmp_path, capsys, cubes, want):
-    # Past Python's recursion limit in axes, and past the float range in volume.
+    # Past Python's recursion limit in axes, and outside the float range in volume.
     d = 1200
     doc = {"dim": d, "cubes": [{"center": [c0] + ["0"] * (d - 1), "radius": r} for c0, r in cubes]}
     inst = tmp_path / "d1200.json"

@@ -12,6 +12,8 @@ from cubecover.selection import (
     LacunaryStructure,
     PipelineParams,
     Window,
+    _band_exponents,
+    _floor_log,
     auto_params,
     certified_bound,
     congruent_select,
@@ -280,6 +282,19 @@ def test_pipeline_dilation_by_full_period():
     b = pipeline_select(dilate(c, lam ** 4), params)
     assert a.indices == b.indices
     assert a.achieved_ratio == b.achieved_ratio
+
+
+# 1001/1000 gives more bands than radii, where each radius takes its own logarithm.
+@pytest.mark.parametrize("lam", [Fraction(3, 2), Fraction(2), Fraction(1_276_543, 10 ** 6), Fraction(1001, 1000)])
+def test_band_exponents_equal_per_cube_floor_log(lam):
+    radii = []
+    for seed in range(4):
+        radii += [q.radius for q in gen_random(2, 50, ("loguniform", Fraction(1, 16), Fraction(4)), seed=seed).cubes]
+    # Radii exactly at powers of lam, and one step either side of them.
+    for m in (-3, 0, 1, 4):
+        radii += [lam ** m, lam ** m * Fraction(10 ** 9 - 1, 10 ** 9), lam ** m * Fraction(10 ** 9 + 1, 10 ** 9)]
+    assert _band_exponents(lam, radii) == [_floor_log(lam, r) for r in radii]
+    assert _band_exponents(lam, [lam ** 5] * 3) == [5] * 3
 
 
 def test_pipeline_params_validation():
