@@ -52,6 +52,11 @@ CALLS = {
     "select-pipeline": ("select", "--algo", "pipeline", "--out", "{sel}"),
     "select-pipeline-exact": ("select", "--algo", "pipeline", "--unit-selector", "exact"),
     "select-greedy": ("select", "--algo", "greedy"),
+    **{
+        f"select-{algo}{suffix}": ("select", "--algo", algo, "--unit-selector", mode)
+        for algo in ("congruent", "window", "lacunary")
+        for mode, suffix in (("sweep", ""), ("exact", "-exact"))
+    },
     "oracle": ("oracle",),
     "verify-pipeline": ("verify", "--sel", "{sel}"),
 }
