@@ -16,11 +16,8 @@ from .geometry import (
     Cube,
     Selection,
     as_scalar,
-    contains,
     intersects,
     make_selection,
-    ratio,
-    scale,
     union_volume,
 )
 from .generators import GenSpec, gen_cell, gen_dyadic, gen_lacunary, gen_random, generate
@@ -59,7 +56,6 @@ __all__ = [
     "auto_params",
     "certified_bound",
     "congruent_select",
-    "contains",
     "gen_cell",
     "gen_dyadic",
     "gen_lacunary",
@@ -72,8 +68,6 @@ __all__ = [
     "make_selection",
     "phi_exact",
     "pipeline_select",
-    "ratio",
-    "scale",
     "union_volume",
     "verify_guarantee",
     "window_select",

@@ -215,8 +215,8 @@ def cmd_volume(args) -> int:
 
 
 def _instance_window(c: Collection) -> Window:
-    radii = [q.radius for q in c.cubes]
-    return Window(min(radii), max(radii))
+    radii = c.grid.radii
+    return Window(Fraction(min(radii), c.grid.rdenom), Fraction(max(radii), c.grid.rdenom))
 
 
 def cmd_select(args) -> int:

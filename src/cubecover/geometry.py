@@ -114,6 +114,11 @@ def _grid_from_pairs(dim: int, centers, radii) -> Grid:
     )
 
 
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 class Collection:
     """Ordered finite list of cubes sharing one ambient dimension.
 
@@ -170,6 +175,22 @@ class Collection:
             Cube(tuple(map(Fraction, x, dens)), Fraction(r, grid.rdenom)) for x, r in zip(grid.centers, grid.radii)
         )
 
+    def subset(self, indices, radius: int | None = None, factor: Fraction = Fraction(1)) -> Collection:
+        """The cubes at `indices`, in that order, cut from the grid's integers:
+        same centers, radii times `factor` > 0, or `radius` (over R) times it.
+        The pairs are reduced, so :func:`_grid_from_pairs` builds the grid the
+        `Cube`s would: equality, hashes and union-volume cache keys agree."""
+        grid = self.grid
+        dens = [grid.rdenom * m for m in grid.scales]
+        num, den = factor.numerator, factor.denominator * grid.rdenom
+        return Collection.from_pairs(self.dim, [
+            (
+                tuple(map(_reduced, grid.centers[i], dens)),
+                _reduced((grid.radii[i] if radius is None else radius) * num, den),
+            )
+            for i in indices
+        ])
+
     @cached_property
     def grid(self) -> Grid:
         """The cubes on integers, built on first use."""
@@ -200,24 +221,6 @@ def intersects(a: Cube, b: Cube) -> bool:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     reach = a.radius + b.radius
     return all(abs(x - y) <= reach for x, y in zip(a.center, b.center))
-
-
-def contains(outer: Cube, inner: Cube) -> bool:
-    """True iff inner lies entirely inside outer (closed containment)."""
-    if outer.dim != inner.dim:
-        raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
-    slack = outer.radius - inner.radius
-    if slack < 0:
-        return False
-    return all(abs(x - y) <= slack for x, y in zip(outer.center, inner.center))
-
-
-def scale(a: Cube, lam) -> Cube:
-    """Concentric scaling: same center, radius multiplied by lam > 0."""
-    lam = as_scalar(lam)
-    if lam <= 0:
-        raise ValueError("scale factor must be positive")
-    return Cube(a.center, a.radius * lam)
 
 
 def union_volume(c: Collection, method: str = "compression", cap: int = IE_DEFAULT_CAP) -> Fraction:
@@ -572,18 +575,6 @@ def selected_volume(c: Collection, indices) -> Fraction:
     as Σ(2 r_i)^d / R^d on the grid's integers."""
     radii = c.grid.radii
     return Fraction(sum((2 * radii[i]) ** c.dim for i in indices), c.grid.rdenom ** c.dim)
-
-
-def ratio(s: Selection, c: Collection) -> Fraction:
-    """Exact fraction of the collection's union volume held by the selection.
-
-    The numerator is the sum of the selected cube volumes, which equals the
-    union volume of the selection because disjointness is required.
-    """
-    idx = tuple(s.indices)
-    _check_indices(c, idx)
-    _check_disjoint(c, idx)
-    return selected_volume(c, idx) / union_volume(c)
 
 
 def make_selection(c: Collection, indices, certified_bound, total_volume: Fraction | None = None) -> Selection:

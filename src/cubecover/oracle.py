@@ -29,12 +29,11 @@ ORACLE_DEFAULT_CAP = 30
 
 @dataclass(frozen=True)
 class IntersectionGraph:
-    """Vertex per cube, weight = volume, edge iff the cubes intersect.
+    """Vertex per cube, edge iff the cubes intersect.
 
     Adjacency is stored as one bitmask per vertex.
     """
 
-    weights: tuple[Fraction, ...]
     adjacency: tuple[int, ...]
 
     def edge(self, i: int, j: int) -> bool:
@@ -42,13 +41,13 @@ class IntersectionGraph:
 
 
 def intersection_graph(c: Collection) -> IntersectionGraph:
-    n = len(c.cubes)
+    n = len(c)
     adj = [0] * n
     for i, j in combinations(range(n), 2):
         if c.grid.meets(i, j):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return IntersectionGraph(tuple(q.volume for q in c.cubes), tuple(adj))
+    return IntersectionGraph(tuple(adj))
 
 
 def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, Selection]:
@@ -59,7 +58,7 @@ def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, S
     remaining weight, seed with a max-weight-first greedy solution.  Weights
     are the grid's integers (2 r R)^d: volumes times R^d, same order and ties.
     """
-    n = len(c.cubes)
+    n = len(c)
     if n == 0:
         raise EmptyCollectionError("oracle needs a nonempty collection")
     if n > cap:
@@ -109,7 +108,7 @@ def phi_exact(c: Collection, cap: int = ORACLE_DEFAULT_CAP) -> tuple[Fraction, S
 
     indices = tuple(i for i in range(n) if best_set >> i & 1)
     best_vol = Fraction(best_w, c.grid.rdenom ** c.dim)
-    if union_volume(Collection(c.dim, tuple(c.cubes[i] for i in indices))) != best_vol:
+    if union_volume(c.subset(indices)) != best_vol:
         raise VerificationError("witness volume sum does not equal its union volume")
     total = union_volume(c)
     phi = best_vol / total

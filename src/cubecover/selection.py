@@ -18,16 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constants
-from .errors import EmptyCollectionError, InputError, VerificationError
+from .errors import CapExceededError, EmptyCollectionError, InputError, VerificationError
 from .geometry import (
     Collection,
-    Cube,
     Selection,
     as_scalar,
     make_selection,
     union_volume,
 )
 from .oracle import ORACLE_DEFAULT_CAP, phi_exact
+
+# Bits of the largest power of lam a band exponent may take: a power at the
+# cap takes milliseconds, and auto_params(300) on radii 1/16-4 needs 3.3e4.
+BAND_BITS_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,9 @@ class Window:
         if not 0 < self.lo <= self.hi:
             raise InputError(f"window needs 0 < lo <= hi, got [{self.lo}, {self.hi}]")
 
-    def covers(self, r: Fraction) -> bool:
-        return self.lo <= r <= self.hi
+    def cuts(self, rdenom: int) -> tuple[int, int]:
+        """The least and the greatest grid radius r with lo <= r/rdenom <= hi."""
+        return math.ceil(self.lo * rdenom), math.floor(self.hi * rdenom)
 
 
 @dataclass(frozen=True)
@@ -157,13 +161,14 @@ def congruent_select(c: Collection, mode: str = "sweep", cap: int = ORACLE_DEFAU
     """
     _require_nonempty(c)
     gamma = unit_gamma(c.dim, mode)
-    r0 = c.cubes[0].radius
-    if any(q.radius != r0 for q in c.cubes):
+    if len(set(c.grid.radii)) > 1:
         raise InputError("congruent selection requires all radii equal")
     if mode == "exact":
         _, witness = phi_exact(c, cap)
         return make_selection(c, witness.indices, gamma)
-    order = sorted(range(len(c.cubes)), key=lambda i: (c.cubes[i].center, i))
+    # Axis k holds the centers times one D_k > 0, so the grid's order is the
+    # centers' lexicographic order; the stable sort breaks ties by index.
+    order = sorted(range(len(c)), key=c.grid.centers.__getitem__)
     return make_selection(c, _maximal_greedy(c, order), gamma)
 
 
@@ -177,13 +182,14 @@ def window_select(c: Collection, w: Window, mode: str = "sweep", cap: int = ORAC
     least (hi/lo)^-d times it.
     """
     _require_nonempty(c)
-    for i, q in enumerate(c.cubes):
-        if not w.covers(q.radius):
-            raise InputError(f"cube {i} has radius {q.radius} outside window [{w.lo}, {w.hi}]")
-    r_max = max(q.radius for q in c.cubes)
-    inflated = Collection(c.dim, tuple(Cube(q.center, r_max) for q in c.cubes))
-    base = congruent_select(inflated, mode, cap)
-    cert = (w.lo / r_max) ** c.dim * unit_gamma(c.dim, mode)
+    radii, rdenom = c.grid.radii, c.grid.rdenom
+    lo, hi = w.cuts(rdenom)
+    for i, r in enumerate(radii):
+        if not lo <= r <= hi:
+            raise InputError(f"cube {i} has radius {Fraction(r, rdenom)} outside window [{w.lo}, {w.hi}]")
+    r_max = max(radii)
+    base = congruent_select(c.subset(range(len(c)), radius=r_max), mode, cap)
+    cert = (w.lo * rdenom / r_max) ** c.dim * unit_gamma(c.dim, mode)
     return make_selection(c, base.indices, cert)
 
 
@@ -207,14 +213,16 @@ def lacunary_select(
     if len(ls.windows) == 1:
         return window_select(c, ls.windows[0], mode, cap)
 
+    rdenom = c.grid.rdenom
+    cuts = [w.cuts(rdenom) for w in ls.windows]
     buckets: list[list[int]] = [[] for _ in ls.windows]
-    for i, q in enumerate(c.cubes):
-        for j, w in enumerate(ls.windows):
-            if w.covers(q.radius):
+    for i, r in enumerate(c.grid.radii):
+        for j, (lo, hi) in enumerate(cuts):
+            if lo <= r <= hi:
                 buckets[j].append(i)
                 break
         else:
-            raise InputError(f"cube {i} has radius {q.radius} in no window")
+            raise InputError(f"cube {i} has radius {Fraction(r, rdenom)} in no window")
 
     kept: list[int] = []
     pruned: list[list[int]] = [[] for _ in ls.windows]
@@ -228,39 +236,49 @@ def lacunary_select(
     for j, mine in enumerate(pruned):
         if not mine:
             continue
-        sub = Collection(c.dim, tuple(Cube(c.cubes[i].center, c.cubes[i].radius * grow) for i in mine))
         w2 = Window(ls.windows[j].lo * grow, ls.windows[j].hi * grow)
-        picked = window_select(sub, w2, mode, cap)
+        picked = window_select(c.subset(mine, factor=grow), w2, mode, cap)
         chosen.extend(mine[k] for k in picked.indices)
 
     cert = (1 / ls.mu) ** c.dim * (1 / grow) ** c.dim * unit_gamma(c.dim, mode)
     return make_selection(c, sorted(chosen), cert)
 
 
-def _floor_log(lam: Fraction, value: Fraction) -> int:
-    """Largest integer m with lam^m <= value, for rational lam > 1 and value > 0."""
-    est = math.log(value.numerator) - math.log(value.denominator)
-    base = math.log(lam.numerator) - math.log(lam.denominator)
+def _log(p: int, q: int) -> float:
+    # log(p/q), p, q > 0, to a few ulps also near 1, where log p - log q cancels
+    return math.log1p((p - q) / q) if q <= 2 * p <= 4 * q else math.log(p) - math.log(q)
+
+
+def _floor_log(lam: Fraction, r: int, rdenom: int) -> int:
+    """Largest integer m with lam^m <= r/rdenom, for rational lam > 1 and r, rdenom > 0.
+
+    lam^m takes about |m| bits(lam) bits.  Before forming any power, raises
+    CapExceededError if that passes BAND_BITS_CAP (lam near 1) or if log(lam)
+    is below the float range."""
+    est, base = _log(r, rdenom), _log(lam.numerator, lam.denominator)
+    if base <= 0 or abs(est) * lam.numerator.bit_length() > BAND_BITS_CAP * base:
+        raise CapExceededError(f"band-exponent cap is {BAND_BITS_CAP} bits of lam^m, "
+                               f"passed by radius {Fraction(r, rdenom)} in powers of {lam}")
     m = math.floor(est / base)
-    while lam ** m > value:
+    while rdenom * lam ** m > r:
         m -= 1
-    while lam ** (m + 1) <= value:
+    while rdenom * lam ** (m + 1) <= r:
         m += 1
     return m
 
 
-def _band_exponents(lam: Fraction, radii: list[Fraction]) -> list[int]:
-    """:func:`_floor_log` of each radius: the band [lam^m, lam^(m+1)) it lies in.
+def _band_exponents(lam: Fraction, radii, rdenom: int) -> list[int]:
+    """:func:`_floor_log` of each grid radius r: the band [lam^m, lam^(m+1)) of r/rdenom.
 
-    Only the extreme radii take a logarithm; the others are placed among the
-    powers of lam between them by bisection.  With more bands than radii
-    (lam near 1) that list would outgrow the work it saves, so each radius
-    takes its own logarithm instead."""
-    lo, hi = _floor_log(lam, min(radii)), _floor_log(lam, max(radii))
+    Only the extreme radii take a logarithm; the others are placed by
+    bisection among the least grid radii ceil(rdenom lam^m) of the bands
+    between them.  With more bands than radii (lam near 1) that list would
+    outgrow the work it saves, so each radius takes its own logarithm instead."""
+    lo, hi = _floor_log(lam, min(radii), rdenom), _floor_log(lam, max(radii), rdenom)
     if hi - lo > len(radii):
-        return [_floor_log(lam, r) for r in radii]
-    powers = [lam ** m for m in range(lo + 1, hi + 1)]
-    return [lo + bisect_right(powers, r) for r in radii]
+        return [_floor_log(lam, r, rdenom) for r in radii]
+    cuts = [math.ceil(rdenom * lam ** m) for m in range(lo + 1, hi + 1)]
+    return [lo + bisect_right(cuts, r) for r in radii]
 
 
 def pipeline_select(c: Collection, params: PipelineParams, cap: int = ORACLE_DEFAULT_CAP) -> Selection:
@@ -278,19 +296,15 @@ def pipeline_select(c: Collection, params: PipelineParams, cap: int = ORACLE_DEF
     d = c.dim
     J, lam = params.J, params.lam
 
-    exps = _band_exponents(lam, [q.radius for q in c.cubes])
+    exps = _band_exponents(lam, c.grid.radii, c.grid.rdenom)
     classes: dict[int, list[int]] = {}
     for i, m in enumerate(exps):
         classes.setdefault(m % J, []).append(i)
 
     total = union_volume(c)
-    best_i = None
-    best_vol = None
-    for i in sorted(classes):
-        vol = union_volume(Collection(d, tuple(c.cubes[k] for k in classes[i])))
-        if best_vol is None or vol > best_vol:
-            best_i, best_vol = i, vol
-    if not best_vol * J >= total:
+    vols = {i: union_volume(c.subset(classes[i])) for i in sorted(classes)}
+    best_i = max(vols, key=vols.get)  # the first largest: ties go to the lowest class
+    if not vols[best_i] * J >= total:
         raise VerificationError("largest residue class fell below a 1/J share of the union")
 
     members = classes[best_i]
@@ -298,8 +312,7 @@ def pipeline_select(c: Collection, params: PipelineParams, cap: int = ORACLE_DEF
     windows = tuple(Window(lam ** m, lam ** (m + 1)) for m in occupied)
     structure = LacunaryStructure(windows, lam ** (J - 1), lam)
 
-    sub = Collection(d, tuple(c.cubes[k] for k in members))
-    inner = lacunary_select(sub, structure, params.unit_selector, cap)
+    inner = lacunary_select(c.subset(members), structure, params.unit_selector, cap)
     indices = sorted(members[k] for k in inner.indices)
     cert = certified_bound(d, J, lam, unit_gamma(d, params.unit_selector))
     return make_selection(c, indices, cert, total_volume=total)

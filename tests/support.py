@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import mpmath
 
-from cubecover.geometry import Collection, Cube
+from cubecover.geometry import (
+    Collection,
+    Cube,
+    Selection,
+    _check_disjoint,
+    _check_indices,
+    as_scalar,
+    selected_volume,
+    union_volume,
+)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -35,6 +44,32 @@ def box(min_corner, side) -> Cube:
     side = Fraction(side)
     half = side / 2
     return Cube(tuple(Fraction(x) + half for x in min_corner), half)
+
+
+def contains(outer: Cube, inner: Cube) -> bool:
+    """True iff inner lies entirely inside outer (closed containment)."""
+    if outer.dim != inner.dim:
+        raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
+    slack = outer.radius - inner.radius
+    if slack < 0:
+        return False
+    return all(abs(x - y) <= slack for x, y in zip(outer.center, inner.center))
+
+
+def scale(a: Cube, lam) -> Cube:
+    """Concentric scaling: same center, radius multiplied by lam > 0."""
+    lam = as_scalar(lam)
+    if lam <= 0:
+        raise ValueError("scale factor must be positive")
+    return Cube(a.center, a.radius * lam)
+
+
+def ratio(s: Selection, c: Collection) -> Fraction:
+    """Exact fraction of the collection's union volume held by a disjoint selection."""
+    idx = tuple(s.indices)
+    _check_indices(c, idx)
+    _check_disjoint(c, idx)
+    return selected_volume(c, idx) / union_volume(c)
 
 
 def dilate(c: Collection, t) -> Collection:

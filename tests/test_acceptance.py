@@ -12,7 +12,7 @@ import pytest
 
 from cubecover import constants
 from cubecover.generators import gen_cell, gen_lacunary, gen_random
-from cubecover.geometry import contains, scale, union_volume
+from cubecover.geometry import union_volume
 from cubecover.oracle import phi_exact, verify_guarantee
 from cubecover.selection import (
     LacunaryStructure,
@@ -25,7 +25,7 @@ from cubecover.selection import (
     pipeline_select,
     window_select,
 )
-from support import golden_section_min, load_golden_table
+from support import contains, golden_section_min, load_golden_table, scale
 
 
 def report(number: int, ok: bool, summary: str) -> None:

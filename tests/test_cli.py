@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import cubecover
 from cubecover import cli, constants
 from cubecover.cli import collection_from_json, collection_to_json, main, selection_from_json
 from cubecover.errors import InputError
@@ -96,6 +100,38 @@ def test_select_pipeline_lone_J_exits_1(tmp_path, capsys):
 
 def test_select_pipeline_lone_lambda_exits_1(tmp_path, capsys):
     assert _pipeline_with(tmp_path, capsys, "--lambda", "3/2") == (1, "")
+
+
+# Runs main on argv and prints its wall time; a child process, so that a hang
+# ends at the subprocess timeout instead of stalling the suite.
+TIMED_MAIN = """
+import sys, time
+from cubecover.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("lam", ["1.000001", "1." + "0" * 29 + "1", "1." + "0" * 399 + "1"])
+def test_select_pipeline_lambda_near_1_exits_3_fast(tmp_path, capsys, lam):
+    # Band exponents near |m| = 2.8e6 (and far beyond) would take powers of
+    # millions of bits; the cap refuses before forming any.  The last lambda's
+    # logarithm is below the float range.
+    inst = tmp_path / "r.json"
+    run(capsys, "gen", "--kind", "random", "--d", "2", "--n", "20", "--radius-law", "loguniform",
+        "--rmin", "1/16", "--rmax", "4", "--seed", "5", "--out", str(inst))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cubecover.__file__))}
+    argv = ["select", "--algo", "pipeline", "--J", "3", "--lambda", lam, "--in", str(inst)]
+    proc = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 3
+    assert "band-exponent cap" in proc.stderr
+    assert float(proc.stdout) < 1
+    # Far enough from 1, the same call finishes.
+    argv[argv.index(lam)] = "1.001"
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_verify_corrupted_selection_exits_2(tmp_path, capsys):

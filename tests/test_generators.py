@@ -94,7 +94,7 @@ def test_dyadic_over_cap(d, levels):
 
 
 def test_dyadic_children_inside_parent():
-    from cubecover.geometry import contains
+    from support import contains
 
     c = gen_dyadic(2, 1)
     parent = c.cubes[0]

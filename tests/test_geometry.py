@@ -17,14 +17,11 @@ from cubecover.geometry import (
     _planar_sweep,
     _recursive_sweep,
     as_scalar,
-    contains,
     intersects,
     make_selection,
-    ratio,
-    scale,
     union_volume,
 )
-from support import box, dilate
+from support import box, contains, dilate, ratio, scale
 
 
 def random_cube(rng, d, coord_range=8, denom=16):

@@ -1,6 +1,7 @@
 """The exact integer grid behind the inner loops, checked against Fractions."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubecover.cli import _parse_scalar
+from cubecover import geometry
+from cubecover.cli import _parse_scalar, collection_from_json, collection_to_json
 from cubecover.errors import InputError
+from cubecover.generators import gen_random
 from cubecover.geometry import Collection, Cube, _compress, intersects, selected_volume, union_volume
 from cubecover.oracle import phi_exact
+from test_golden import _mix_denominators
 
 # Mixed denominators: every scalar draws its own, up to 12.
 coords = st.fractions(-4, 4, max_denominator=12)
@@ -174,3 +178,32 @@ def test_phi_exact_matches_brute_force_on_fraction_volumes(cubes):
     phi, witness = phi_exact(c)
     assert phi == best / union_volume(c)
     assert selected_volume(c, witness.indices) == best
+
+
+@pytest.mark.parametrize("d,seed", [(1, 1), (2, 2), (2, 3), (3, 4), (5, 5), (8, 6)])
+def test_subset_is_the_canonical_grid(d, seed):
+    # A loaded instance with mixed denominators; random index lists, and the
+    # two inflations the selectors use: every radius set to the largest
+    # chosen one, and every radius times 1 + 2/lam.  Each sub-collection must
+    # be the one Collection(dim, cubes) builds from Fractions.
+    rng = random.Random(seed)
+    doc = collection_to_json(gen_random(d, 24, ("loguniform", Fraction(1, 16), Fraction(4)), seed))
+    _mix_denominators(doc)
+    c = collection_from_json(doc)
+    rdenom = c.grid.rdenom
+    for lam in (Fraction(3, 2), Fraction(2), Fraction(1_276_543, 10 ** 6), Fraction(1001, 1000), Fraction(7)):
+        idx = rng.sample(range(len(c)), rng.randint(1, 12))
+        r_max = max(c.grid.radii[i] for i in idx)
+        grow = 1 + Fraction(2) / lam
+        cases = [
+            (c.subset(idx), [c.cubes[i] for i in idx]),
+            (c.subset(idx, radius=r_max), [Cube(c.cubes[i].center, Fraction(r_max, rdenom)) for i in idx]),
+            (c.subset(idx, factor=grow), [Cube(c.cubes[i].center, c.cubes[i].radius * grow) for i in idx]),
+        ]
+        for sub, cubes in cases:
+            ref = Collection(d, cubes)
+            assert sub.grid == ref.grid
+            assert sub == ref and hash(sub) == hash(ref)
+            assert sub.cubes == ref.cubes
+            geometry._union_volume_compression.cache_clear()
+            assert union_volume(sub) == union_volume(ref, "inclusion_exclusion")

@@ -150,12 +150,7 @@ def test_cli_exit_and_messages_match_the_reference(name, tmp_path, monkeypatch):
     assert new[0] in (0, 1)
 
 
-def test_verify_and_greedy_select_build_no_cube(tmp_path, monkeypatch):
-    # Above the oracle's cap, neither call needs the Fraction view.
-    inst, sel = tmp_path / "inst.json", tmp_path / "sel.json"
-    gen = ["gen", "--kind", "random", "--d", "2", "--n", "40", "--radius-law", "loguniform",
-           "--rmin", "1/16", "--rmax", "4", "--seed", "5", "--out", str(inst)]
-    assert main(gen) == 0
+def _count_cubes(monkeypatch):
     built = []
     post_init = Cube.__post_init__
 
@@ -164,15 +159,64 @@ def test_verify_and_greedy_select_build_no_cube(tmp_path, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Cube, "__post_init__", counting)
+    return built
+
+
+def _gen_random(path, n, rmin, rmax, law="loguniform"):
+    gen = ["gen", "--kind", "random", "--d", "2", "--n", str(n), "--radius-law", law,
+           "--rmin", rmin, "--rmax", rmax, "--seed", "5", "--out", str(path)]
+    assert main(gen) == 0
+
+
+def test_verify_and_greedy_select_build_no_cube(tmp_path, monkeypatch):
+    # Above the oracle's cap, neither call needs the Fraction view.
+    inst, sel = tmp_path / "inst.json", tmp_path / "sel.json"
+    _gen_random(inst, 40, "1/16", "4")
+    built = _count_cubes(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["select", "--algo", "greedy", "--in", str(inst), "--out", str(sel)]) == 0
         assert main(["verify", "--in", str(inst), "--sel", str(sel)]) == 0
     assert built == []
     assert "FAIL" not in out.getvalue()
-    # The counter sees the cubes that other calls do build.
+    # The counter sees the cubes that reading the Fraction view builds.
+    assert len(collection_from_json(json.loads(inst.read_text())).cubes) == len(built) == 40
+
+
+# name -> (instance, CLI arguments after the instance file); {sel} is a pipeline selection
+GRID_ONLY_CALLS = {
+    "select-pipeline": ("random", ("select", "--algo", "pipeline", "--out", "{sel}")),
+    "select-pipeline-exact": ("random", ("select", "--algo", "pipeline", "--unit-selector", "exact")),
+    "select-congruent": ("congruent", ("select", "--algo", "congruent")),
+    "select-congruent-exact": ("congruent", ("select", "--algo", "congruent", "--unit-selector", "exact")),
+    "select-window": ("random", ("select", "--algo", "window")),
+    "select-window-exact": ("random", ("select", "--algo", "window", "--unit-selector", "exact")),
+    "select-lacunary": ("random", ("select", "--algo", "lacunary")),
+    "select-lacunary-exact": ("random", ("select", "--algo", "lacunary", "--unit-selector", "exact")),
+    "oracle": ("random", ("oracle",)),
+    "verify-under-oracle-cap": ("random", ("verify", "--sel", "{sel}")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ONLY_CALLS))
+def test_selectors_and_oracle_build_no_cube(name, tmp_path, monkeypatch):
+    # 20 cubes, under the oracle's cap: the selectors, their exact modes, the
+    # oracle and verify's optimum check all run on the grid alone.
+    paths = {"random": tmp_path / "random.json", "congruent": tmp_path / "congruent.json"}
+    _gen_random(paths["random"], 20, "1/16", "4")
+    _gen_random(paths["congruent"], 20, "1", "1", "uniform")
+    sel = tmp_path / "sel.json"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["select", "--algo", "pipeline", "--in", str(inst)]) == 0
-    assert len(built) >= 40
+        assert main(["select", "--algo", "pipeline", "--in", str(paths["random"]), "--out", str(sel)]) == 0
+    kind, args = GRID_ONLY_CALLS[name]
+    built = _count_cubes(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([args[0], "--in", str(paths[kind]), *(a.format(sel=sel) for a in args[1:])]) == 0
+    assert built == []
+    assert "FAIL" not in out.getvalue()
+    # The inclusion-exclusion reference reads the Fraction view, and is seen.
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["volume", "--method", "ie", "--in", str(paths[kind])]) == 0
+    assert len(built) == 20
 
 
 def test_collection_equality_and_hash_need_no_cubes():

@@ -41,7 +41,7 @@ def test_phi_dyadic_parent_covers_union():
 def test_intersection_graph_shape():
     c = gen_cell(2)
     g = intersection_graph(c)
-    assert all(w > 0 for w in g.weights)
+    assert len(g.adjacency) == 4
     for i in range(4):
         assert not g.edge(i, i)
         for j in range(4):

@@ -6,7 +6,7 @@ import pytest
 
 from cubecover.errors import EmptyCollectionError, InputError
 from cubecover.generators import gen_cell, gen_dyadic, gen_lacunary, gen_random
-from cubecover.geometry import Collection, Cube, contains, scale
+from cubecover.geometry import Collection, Cube
 from cubecover.oracle import phi_exact
 from cubecover.selection import (
     LacunaryStructure,
@@ -23,7 +23,7 @@ from cubecover.selection import (
     unit_gamma,
     window_select,
 )
-from support import box, dilate
+from support import box, contains, dilate, scale
 
 
 # ---------------------------------------------------------------- greedy
@@ -293,8 +293,13 @@ def test_band_exponents_equal_per_cube_floor_log(lam):
     # Radii exactly at powers of lam, and one step either side of them.
     for m in (-3, 0, 1, 4):
         radii += [lam ** m, lam ** m * Fraction(10 ** 9 - 1, 10 ** 9), lam ** m * Fraction(10 ** 9 + 1, 10 ** 9)]
-    assert _band_exponents(lam, radii) == [_floor_log(lam, r) for r in radii]
-    assert _band_exponents(lam, [lam ** 5] * 3) == [5] * 3
+    rdenom = math.lcm(*(r.denominator for r in radii))
+    ints = [int(r * rdenom) for r in radii]
+    exps = _band_exponents(lam, ints, rdenom)
+    assert exps == [_floor_log(lam, r, rdenom) for r in ints]
+    assert all(lam ** m <= r < lam ** (m + 1) for m, r in zip(exps, radii))
+    top = lam ** 5
+    assert _band_exponents(lam, [top.numerator] * 3, top.denominator) == [5] * 3
 
 
 def test_pipeline_params_validation():
